@@ -15,6 +15,7 @@ from .config_space import (
     AggregateInfo,
     ConfigSpace,
     ConfigSpaceError,
+    InvariantError,
     ResourceProfile,
     class_minus_type,
     enumerate_configs,
@@ -82,6 +83,7 @@ __all__ = [
     "Experiment",
     "FluidTrajectory",
     "IntegrationError",
+    "InvariantError",
     "KktCertificate",
     "NonconvergenceError",
     "ResourceProfile",

@@ -38,6 +38,11 @@ class ConfigSpaceError(ValueError):
     """Raised for invalid profiles, config sets, or oversized spaces."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when internal bookkeeping breaks an invariant (rates, counts,
+    conservation).  Unlike ``assert``, it stays on under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class ResourceProfile:
     """Vector-packing description: capacities and per-type requirements.

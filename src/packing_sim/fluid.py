@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_space import ConfigSpace
+from .config_space import ConfigSpace, InvariantError
 from .optimizer import (
     Allocation,
     Demand,
@@ -189,7 +189,8 @@ def integrate(
             for t, k in enumerate(space.configs):
                 if k[i]:
                     tot += k[i] * xl[t]
-            assert abs(tot - rho[i]) < 1e-6, "per-type conservation drifted"
+            if not abs(tot - rho[i]) < 1e-6:
+                raise InvariantError(f"type {i}: per-type conservation drifted")
         hi = max(xl)
         if hi > bound:
             raise IntegrationError(

@@ -1,8 +1,9 @@
 """Event-driven simulation of greedy packing disciplines.
 
 One exponential clock drives the system: every step draws the waiting
-time from the total event rate and then picks one event category by its
-rate share.  Supported regimes:
+time from the total event rate and then picks one event by its rate
+share, walking down a binary sum tree of the event rates (O(I log n) per
+event for I types and n events).  Supported regimes:
 
 * closed: a fixed population; each service completion immediately
   re-places the same customer by the configured greedy rule,
@@ -24,13 +25,16 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
+from operator import mul, sub
 from typing import Optional
 
 import numpy as np
 
-from .config_space import ConfigSpace, ConfigSpaceError
+from .config_space import ConfigSpace, ConfigSpaceError, InvariantError
 from .optimizer import Demand, StatePoint, aggregate_objective, objective
 
 MODES = ("closed", "open")
@@ -222,18 +226,17 @@ def place_greedy_ac(state: SystemState, i: int, rng, mode: str = "D") -> tuple[i
     p = 1.0 + a
     best = math.inf
     best_q = -1
-    best_bases = None
     for q in range(agg.num_classes + 1):
         tq = agg.plus_type[q][i]
         if tq is None:
             continue
-        if q == 0:
-            bases = None
-        else:
+        if q:
             if S[q] <= 0:
                 continue
-            bases = [t for t in agg.admit_bases[q][i] if X[t] > 0]
-            if not bases:
+            for t in agg.admit_bases[q][i]:
+                if X[t] > 0:
+                    break
+            else:
                 continue
         st = S[tq]
         if mode == "D":
@@ -248,11 +251,11 @@ def place_greedy_ac(state: SystemState, i: int, rng, mode: str = "D") -> tuple[i
         if score < best:
             best = score
             best_q = q
-            best_bases = bases
     if best_q < 0:
         raise RuntimeError("no feasible placement class")
     if best_q == 0:
         return 0, space.edge_by_target[i][space.unit_index[i]]
+    best_bases = [t for t in agg.admit_bases[best_q][i] if X[t] > 0]
     total = 0
     for t in best_bases:
         total += X[t]
@@ -347,8 +350,60 @@ class RunResult:
     summary: dict
 
 
+def _tree_size(leaves: int) -> int:
+    """Smallest power of two holding ``leaves`` leaves."""
+    return 1 << max(leaves - 1, 0).bit_length()
+
+
+def _tree_set(tree: list, p: int, w) -> None:
+    """Set the leaf at array position ``p`` to ``w`` and re-add its ancestors.
+
+    ``tree`` is a complete binary sum tree over ``len(tree) // 2`` leaves
+    (leaf j at position size + j, node p summing children 2p and 2p+1,
+    root at 1).  Every parent is recomputed from its two children rather
+    than shifted by a delta, so the tree is a function of its leaves alone:
+    float weights never drift, however long the run.
+    """
+    tree[p] = w
+    while p > 1:
+        v = tree[p] + tree[p ^ 1]
+        p >>= 1
+        tree[p] = v
+
+
+def _tree_find(tree: list, size: int, u: float) -> tuple:
+    """Leaf whose slice of the cumulative weights holds ``u``, and the offset
+    of ``u`` inside that slice.
+
+    Equals the first leaf j with u < w_0 + ... + w_j, the choice a linear
+    scan makes.  A draw at or past the total (rounding) never lands on a
+    zero leaf: it falls back to the last leaf with positive weight.
+    """
+    p = 1
+    while p < size:
+        p <<= 1
+        left = tree[p]
+        if u >= left and tree[p + 1] > 0:
+            u -= left
+            p += 1
+    return p - size, u
+
+
 class Simulation:
-    """Stepwise simulation engine; ``run`` drives it with sampling."""
+    """Stepwise simulation engine; ``run`` drives it with sampling.
+
+    Every possible event owns one leaf of a binary sum tree, in a fixed
+    order: first the arrival of each type (weight 0 in closed mode), then
+    either one leaf per edge e with weight k_i mu_i X_k (closed and open
+    mode), or one leaf per complete server state c with weight R_c Xc[c],
+    R_c being the summed rate of the departure and expiry rows of c
+    (token mode).  Counts push their leaves on every change (``_bump``,
+    ``_cc_move``), so the total rate is the root and one draw walks down
+    the tree: an event costs O(I log n) for I types and n leaves.  Token
+    replacements draw the replaced token from one such tree per type, over
+    the complete states weighted by their free type-i slots.  Each step
+    checks the root against the O(I) formula of ``_analytic_rate``.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -360,9 +415,14 @@ class Simulation:
         self.t = 0.0
         n = space.num_configs
         I = space.num_types
+        E = space.num_edges
+        self._ntypes = I
+        self._closed = config.mode == "closed"
+        self._tokens = config.uses_tokens
         self.X = [0] * n
         if space.has_aggregates:
             self.S = [0] * (space.aggregates.num_classes + 1)
+            self._class_of = space.aggregates.class_of
         else:
             self.S = None
         self.state = SystemState(
@@ -371,26 +431,43 @@ class Simulation:
         self.Y = [0] * I
         self.Yhat = [0] * I
         self.Ytilde = [0] * I
-        E = space.num_edges
         self.arrivals = [0] * E
         self.departures = [0] * E
-        self.tok_arr = [0] * E if config.uses_tokens else None
-        self.rep_arr = [0] * E if config.uses_tokens else None
-        self.fresh_arr = [0] * E if config.uses_tokens else None
-        self.act_dep = [0] * E if config.uses_tokens else None
-        self.exp_dep = [0] * E if config.uses_tokens else None
+        self.tok_arr = [0] * E if self._tokens else None
+        self.rep_arr = [0] * E if self._tokens else None
+        self.fresh_arr = [0] * E if self._tokens else None
+        self.act_dep = [0] * E if self._tokens else None
+        self.exp_dep = [0] * E if self._tokens else None
         self.n_events = 0
 
         mu = self.demand.service
-        self._edge_coef = [
-            space.configs[space.edge_target[e]][space.edge_type[e]]
-            * mu[space.edge_type[e]]
-            for e in range(E)
-        ]
-        self._arr_rate = [float(self.demand.arrival[i]) * self.r for i in range(I)]
         self._mu = [float(v) for v in mu]
+        self._arr_rate = [float(self.demand.arrival[i]) * self.r for i in range(I)]
+        self._arr_total = 0.0 if self._closed else sum(self._arr_rate)
+        self._bind_placement()
 
-        if config.mode == "closed":
+        if self._tokens:
+            self._build_complete(config.max_complete_configs)
+            leaves = I + len(self.cc_list)
+        else:
+            leaves = I + E
+        self._size = size = _tree_size(leaves)
+        self._tree = [0.0] * (2 * size)
+        self._cc_leaf0 = size + I
+        # Edge leaves pushed when X[t] changes: (tree position, k_i mu_i)
+        # for every edge into t.  Token mode keeps no edge leaves.
+        into = [[] for _ in range(n)]
+        if not self._tokens:
+            for e in range(E):
+                i = space.edge_type[e]
+                t = space.edge_target[e]
+                into[t].append((size + I + e, float(space.configs[t][i] * mu[i])))
+        self._into = [tuple(v) for v in into]
+        if not self._closed:
+            for i, rate in enumerate(self._arr_rate):
+                _tree_set(self._tree, size + i, rate)
+
+        if self._closed:
             for i in range(I):
                 count = _round_half_up(float(self.demand.rho[i]) * self.r)
                 self._bump(space.unit_index[i], count)
@@ -401,207 +478,130 @@ class Simulation:
             self._y0 = [0] * I
         self._x0 = list(self.X)
 
-        if config.uses_tokens:
-            self._build_complete(config.max_complete_configs)
+    def _bind_placement(self):
+        """Fix the placement rules once: ``_place(i)`` for arrivals and
+        ``_place_anchored(i, departed_edge)`` for re-placements."""
+        state = self.state
+        rng = self.rng
+        d = self.config.discipline
+        if d in _CLASS_DISCIPLINES:
+            def place(i):
+                return place_greedy_ac(state, i, rng)[1]
+        else:
+            place = partial(place_greedy_i if d == "greedy-i" else place_greedy_d, state)
+        alt = self.config.alt_placement
+        if alt is None:
+            def anchored(i, departed_edge):
+                return place(i)
+        else:
+            def anchored(i, departed_edge):
+                return place_alt(state, i, departed_edge, rng, alt.epsilon, alt.mix)
+        self._place = place
+        self._place_anchored = anchored
 
     # -- low-level count updates ------------------------------------------
 
-    def _bump(self, t_idx: int, delta: int):
+    def _bump(self, t_idx: int, delta: int, push: bool = True):
         self.X[t_idx] += delta
         if self.S is not None:
-            self.S[self.space.aggregates.class_of[t_idx]] += delta
+            self.S[self._class_of[t_idx]] += delta
+        if push:
+            self._push(t_idx)
+
+    def _push(self, t_idx: int):
+        """Refresh the leaves of the edges into config t_idx."""
+        x = self.X[t_idx]
+        tree = self._tree
+        for p, coef in self._into[t_idx]:
+            _tree_set(tree, p, coef * x)
+
+    def _shift(self, e: int, delta: int, push: bool = True):
+        """Add (delta 1) or remove (delta -1) one customer on edge e."""
+        self._bump(self.space.edge_target[e], delta, push)
+        b = self.space.edge_base[e]
+        if b >= 0:
+            self._bump(b, -delta, push)
 
     def _build_complete(self, cap: int):
+        """Complete server states: (config, held actual customers).
+
+        ``cc_list[c]`` is (config index, held-config index or -1), and the
+        states of config k are c in range(_cc_first[k], _cc_first[k + 1]).
+        One server in state c leaves at rate ``_cc_rate[c]``: held_i mu_i
+        per type for actual departures plus free_i mu0 for token expiries,
+        free_i = ``_cc_free[c * I + i]`` being its type-i tokens.
+        """
         space = self.space
+        index = space.index
+        mu = self._mu
+        mu0 = float(self.config.token_rate)
         cc_list = []
         cc_index = {}
-        by_config = [[] for _ in range(space.num_configs)]
+        first = array("i", [0])
+        rate = array("d")
+        free = array("i")
         for k_idx, k in enumerate(space.configs):
+            size = sum(k)
             for held in product(*(range(v + 1) for v in k)):
-                khat_idx = space.index[held] if any(held) else -1
-                c = len(cc_list)
-                cc_list.append((k_idx, khat_idx))
-                cc_index[(k_idx, khat_idx)] = c
-                by_config[k_idx].append(c)
-                if len(cc_list) > cap:
-                    raise ConfigSpaceError(
-                        f"token bookkeeping needs more than {cap} server states"
-                    )
+                key = (k_idx, index[held] if any(held) else -1)
+                cc_index[key] = len(cc_list)
+                cc_list.append(key)
+                rate.append(sum(map(mul, held, mu)) + (size - sum(held)) * mu0)
+                free.extend(map(sub, k, held))
+            if len(cc_list) > cap:
+                raise ConfigSpaceError(
+                    f"token bookkeeping needs more than {cap} server states"
+                )
+            first.append(len(cc_list))
         self.cc_list = cc_list
         self.cc_index = cc_index
-        self.by_config = by_config
         self.Xc = [0] * len(cc_list)
+        self._cc_first = first
+        self._cc_rate = rate
+        self._cc_free = free
+        self._mu0 = mu0
+        self._zero = (0,) * space.num_types
+        # One tree per type over the states, weighted by free_i * Xc[c]:
+        # its total is Ytilde[i], and a draw picks a token uniformly.
+        self._rep_size = _tree_size(len(cc_list))
+        self._rep_trees = [[0] * (2 * self._rep_size) for _ in range(space.num_types)]
 
-        # Flat event table: per (server state, type), actual-departure and
-        # token-expiry rates with precomputed successors.
-        mu0 = self.config.token_rate
-        ev = []
-        for c, (k_idx, khat_idx) in enumerate(cc_list):
-            k = space.configs[k_idx]
-            khat = space.configs[khat_idx] if khat_idx >= 0 else (0,) * space.num_types
-            for i in range(space.num_types):
-                e = space.edge_by_target[i].get(k_idx)
-                if khat[i] >= 1:
-                    kd = space.down_index[k_idx][i]
-                    hd = space.down_index[khat_idx][i]
-                    nxt = -1 if kd < 0 else self.cc_index[(kd, hd)]
-                    ev.append((c, i, khat[i] * self._mu[i], e, nxt, True))
-                if k[i] - khat[i] >= 1:
-                    kd = space.down_index[k_idx][i]
-                    nxt = -1 if kd < 0 else self.cc_index[(kd, khat_idx)]
-                    ev.append((c, i, (k[i] - khat[i]) * mu0, e, nxt, False))
-        self._cc_events = ev
-        token_slots = [[] for _ in range(space.num_types)]
-        for c, (k_idx, khat_idx) in enumerate(cc_list):
-            k = space.configs[k_idx]
-            for i in range(space.num_types):
-                free = k[i] - (space.configs[khat_idx][i] if khat_idx >= 0 else 0)
-                if free >= 1:
-                    up = (
-                        space.up_index[khat_idx][i]
-                        if khat_idx >= 0
-                        else space.unit_index[i]
-                    )
-                    nxt = self.cc_index[(k_idx, up)]
-                    token_slots[i].append((c, free, nxt, space.edge_by_target[i][k_idx]))
-        self._token_slots = token_slots
+    def _held_plus(self, khat_idx: int, i: int) -> int:
+        """Held config after one more actual type-i customer."""
+        if khat_idx < 0:
+            return self.space.unit_index[i]
+        return self.space.up_index[khat_idx][i]
 
     def _cc_move(self, c_from: int, c_to: int):
         """Move one server between complete states, updating projections."""
+        if c_from == c_to:
+            return
         if c_from >= 0:
-            self.Xc[c_from] -= 1
-            self._bump(self.cc_list[c_from][0], -1)
+            self._cc_add(c_from, -1)
         if c_to >= 0:
-            self.Xc[c_to] += 1
-            self._bump(self.cc_list[c_to][0], +1)
+            self._cc_add(c_to, +1)
 
-    # -- placement dispatch ------------------------------------------------
+    def _cc_add(self, c: int, delta: int):
+        """Add delta servers in state c and push its leaves."""
+        x = self.Xc[c] + delta
+        self.Xc[c] = x
+        k_idx = self.cc_list[c][0]
+        self.X[k_idx] += delta
+        if self.S is not None:
+            self.S[self._class_of[k_idx]] += delta
+        _tree_set(self._tree, self._cc_leaf0 + c, self._cc_rate[c] * x)
+        p = self._rep_size + c
+        j = c * self._ntypes
+        for tree in self._rep_trees:
+            free = self._cc_free[j]
+            if free:
+                _tree_set(tree, p, free * x)
+            j += 1
 
-    def _place(self, i: int) -> int:
-        d = self.config.discipline
-        if d == "greedy-i":
-            return place_greedy_i(self.state, i)
-        if d in _CLASS_DISCIPLINES:
-            return place_greedy_ac(self.state, i, self.rng)[1]
-        return place_greedy_d(self.state, i)
-
-    def _place_anchored(self, i: int, departed_edge: int) -> int:
-        alt = self.config.alt_placement
-        if alt is not None:
-            return place_alt(self.state, i, departed_edge, self.rng, alt.epsilon, alt.mix)
-        return self._place(i)
-
-    # -- event drawing and application --------------------------------------
-
-    def total_rate(self) -> float:
-        if self.config.uses_tokens:
-            total = sum(self._arr_rate)
-            for c, i, coef, e, nxt, actual in self._cc_events:
-                total += coef * self.Xc[c]
-            return total
-        total = 0.0
-        X = self.X
-        tgt = self.space.edge_target
-        for e, coef in enumerate(self._edge_coef):
-            total += coef * X[tgt[e]]
-        if self.config.mode == "open":
-            total += sum(self._arr_rate)
-        return total
-
-    def _analytic_rate(self) -> float:
-        mu = self._mu
-        if self.config.uses_tokens:
-            base = sum(self._arr_rate)
-            base += sum(m * y for m, y in zip(mu, self.Yhat))
-            base += self.config.token_rate * sum(self.Ytilde)
-            return base
-        base = sum(m * y for m, y in zip(mu, self.Y))
-        if self.config.mode == "open":
-            base += sum(self._arr_rate)
-        return base
-
-    def step(self) -> bool:
-        """Advance one event; False when no event can occur."""
-        total = self.total_rate()
-        ana = self._analytic_rate()
-        assert abs(total - ana) <= 1e-9 * (1.0 + ana), "event-rate bookkeeping drifted"
-        if total <= 0.0:
-            return False
-        self.t += self.rng.expovariate(total)
-        self._apply(self.rng.random() * total)
-        self.n_events += 1
-        if self.config.mode == "closed":
-            assert self.Y == self._y0, "closed population changed"
-        return True
-
-    def _apply(self, u: float):
-        if self.config.uses_tokens:
-            self._apply_token_mode(u)
-        elif self.config.mode == "closed":
-            self._apply_closed(u)
-        else:
-            self._apply_open_plain(u)
-
-    def _apply_closed(self, u: float):
-        space = self.space
-        X = self.X
-        acc = 0.0
-        chosen = -1
-        for e, coef in enumerate(self._edge_coef):
-            acc += coef * X[space.edge_target[e]]
-            if u < acc:
-                chosen = e
-                break
-        if chosen < 0:
-            chosen = space.num_edges - 1
-        i = space.edge_type[chosen]
-        self._bump(space.edge_target[chosen], -1)
-        b = space.edge_base[chosen]
-        if b >= 0:
-            self._bump(b, +1)
-        self.departures[chosen] += 1
-        e2 = self._place_anchored(i, chosen)
-        self._bump(space.edge_target[e2], +1)
-        b2 = space.edge_base[e2]
-        if b2 >= 0:
-            self._bump(b2, -1)
-        self.arrivals[e2] += 1
-
-    def _apply_open_plain(self, u: float):
-        space = self.space
-        for i, rate in enumerate(self._arr_rate):
-            if u < rate:
-                e2 = self._place(i)
-                self._bump(space.edge_target[e2], +1)
-                b2 = space.edge_base[e2]
-                if b2 >= 0:
-                    self._bump(b2, -1)
-                self.arrivals[e2] += 1
-                self.Y[i] += 1
-                self.Yhat[i] += 1
-                return
-            u -= rate
-        X = self.X
-        acc = 0.0
-        chosen = -1
-        for e, coef in enumerate(self._edge_coef):
-            acc += coef * X[space.edge_target[e]]
-            if u < acc:
-                chosen = e
-                break
-        if chosen < 0:
-            chosen = space.num_edges - 1
-        i = space.edge_type[chosen]
-        self._bump(space.edge_target[chosen], -1)
-        b = space.edge_base[chosen]
-        if b >= 0:
-            self._bump(b, +1)
-        self.departures[chosen] += 1
-        self.Y[i] -= 1
-        self.Yhat[i] -= 1
-
-    def _place_token_or_customer(self, i: int, actual: bool, departed_edge: int = -1):
-        """Greedy placement in token mode; updates complete states."""
+    def _put(self, i: int, departed_edge: int = -1, actual: bool = True) -> int:
+        """Place one type-i customer, or a token when not ``actual``; a
+        re-placement after a departure from ``departed_edge`` uses the
+        anchored rule.  Returns the edge taken."""
         space = self.space
         if departed_edge >= 0:
             e2 = self._place_anchored(i, departed_edge)
@@ -609,89 +609,169 @@ class Simulation:
             e2 = self._place(i)
         t2 = space.edge_target[e2]
         b2 = space.edge_base[e2]
-        if b2 < 0:
+        if not self._tokens:
+            # Closed mode pushes the leaves after the re-placement.
+            self._shift(e2, +1, push=not self._closed)
+        elif b2 < 0:
             khat = space.unit_index[i] if actual else -1
             self._cc_move(-1, self.cc_index[(t2, khat)])
         else:
+            # A server in config b2, drawn by its count, takes the customer.
+            Xc = self.Xc
+            states = range(self._cc_first[b2], self._cc_first[b2 + 1])
             u = self.rng.random() * self.X[b2]
             acc = 0
             chosen = -1
-            for c in self.by_config[b2]:
-                acc += self.Xc[c]
+            for c in states:
+                acc += Xc[c]
                 if u < acc:
                     chosen = c
                     break
             if chosen < 0:
-                for c in reversed(self.by_config[b2]):
-                    if self.Xc[c] > 0:
+                for c in reversed(states):
+                    if Xc[c] > 0:
                         chosen = c
                         break
             khat_idx = self.cc_list[chosen][1]
             if actual:
-                khat_new = (
-                    space.up_index[khat_idx][i]
-                    if khat_idx >= 0
-                    else space.unit_index[i]
-                )
-            else:
-                khat_new = khat_idx
-            self._cc_move(chosen, self.cc_index[(t2, khat_new)])
+                khat_idx = self._held_plus(khat_idx, i)
+            self._cc_move(chosen, self.cc_index[(t2, khat_idx)])
         return e2
 
-    def _apply_token_mode(self, u: float):
+    def _state_row(self, c: int, u: float) -> tuple:
+        """(type, actual, edge, next state) of the event of state c whose
+        slice of the rate R_c Xc[c] holds ``u``.
+
+        The rows of c are, per type, an actual departure (held_i mu_i),
+        then a token expiry (free_i mu0), each times Xc[c].  A remainder
+        past the last row (rounding) takes the last one.  The next state
+        is -1 when the server empties.
+        """
         space = self.space
-        for i, rate in enumerate(self._arr_rate):
-            if u < rate:
-                if self.Ytilde[i] >= 1:
-                    # Replace a uniformly chosen token of this type.
-                    v = self.rng.random() * self.Ytilde[i]
-                    acc = 0
-                    hit = None
-                    for c, free, nxt, e in self._token_slots[i]:
-                        acc += free * self.Xc[c]
-                        if v < acc:
-                            hit = (c, nxt, e)
-                            break
-                    if hit is None:
-                        for c, free, nxt, e in reversed(self._token_slots[i]):
-                            if self.Xc[c] > 0:
-                                hit = (c, nxt, e)
-                                break
-                    c, nxt, e = hit
-                    self._cc_move(c, nxt)
-                    self.rep_arr[e] += 1
-                    self.Yhat[i] += 1
-                    self.Ytilde[i] -= 1
-                else:
-                    e2 = self._place_token_or_customer(i, actual=True)
-                    self.fresh_arr[e2] += 1
-                    self.arrivals[e2] += 1
-                    self.Y[i] += 1
-                    self.Yhat[i] += 1
-                return
-            u -= rate
+        x = self.Xc[c]
+        k_idx, khat_idx = self.cc_list[c]
+        k = space.configs[k_idx]
+        held = space.configs[khat_idx] if khat_idx >= 0 else self._zero
+        mu = self._mu
         acc = 0.0
-        for c, i, coef, e, nxt, actual in self._cc_events:
-            acc += coef * self.Xc[c]
-            if u < acc:
-                self._cc_move(c, nxt)
-                if actual:
-                    self.act_dep[e] += 1
-                    self.departures[e] += 1
-                    self.Y[i] -= 1
-                    self.Yhat[i] -= 1
-                    e2 = self._place_token_or_customer(i, actual=False, departed_edge=e)
-                    self.tok_arr[e2] += 1
-                    self.arrivals[e2] += 1
-                    self.Y[i] += 1
-                    self.Ytilde[i] += 1
-                else:
-                    self.exp_dep[e] += 1
-                    self.departures[e] += 1
-                    self.Y[i] -= 1
-                    self.Ytilde[i] -= 1
-                return
-        raise AssertionError("event draw fell off the rate table")
+        for j in range(self._ntypes):
+            h = held[j]
+            if h:
+                acc += h * mu[j] * x
+                i, actual = j, True
+                if u < acc:
+                    break
+            if k[j] > h:
+                acc += (k[j] - h) * self._mu0 * x
+                i, actual = j, False
+                if u < acc:
+                    break
+        k_down = space.down_index[k_idx][i]
+        if k_down < 0:
+            nxt = -1
+        else:
+            held_down = space.down_index[khat_idx][i] if actual else khat_idx
+            nxt = self.cc_index[(k_down, held_down)]
+        return i, actual, space.edge_by_target[i][k_idx], nxt
+
+    # -- event drawing and application --------------------------------------
+
+    def total_rate(self) -> float:
+        return self._tree[1]
+
+    def _analytic_rate(self) -> float:
+        if self._tokens:
+            return (self._arr_total + sum(map(mul, self._mu, self.Yhat))
+                    + self._mu0 * sum(self.Ytilde))
+        return self._arr_total + sum(map(mul, self._mu, self.Y))
+
+    def _next_event(self) -> tuple:
+        """(time of the next event or inf, total rate); checks the rate."""
+        total = self._tree[1]
+        ana = self._analytic_rate()
+        if not abs(total - ana) <= 1e-9 * (1.0 + ana):
+            raise InvariantError(
+                f"event-rate bookkeeping drifted: tree {total!r}, counts {ana!r}"
+            )
+        if total <= 0.0:
+            return math.inf, total
+        return self.t + self.rng.expovariate(total), total
+
+    def _fire(self, t_next: float, total: float):
+        """Advance the clock to t_next and apply one event drawn from total."""
+        self.t = t_next
+        self._apply(self.rng.random() * total)
+        self.n_events += 1
+        if self._closed and self.Y != self._y0:
+            raise InvariantError("closed population changed")
+
+    def step(self) -> bool:
+        """Advance one event; False when no event can occur."""
+        t_next, total = self._next_event()
+        if total <= 0.0:
+            return False
+        self._fire(t_next, total)
+        return True
+
+    def _apply(self, u: float):
+        """Fire the event whose slice of the cumulative rates holds ``u``."""
+        leaf, u = _tree_find(self._tree, self._size, u)
+        I = self._ntypes
+        if leaf < I:
+            i = leaf
+            if self._tokens and self.Ytilde[i]:
+                # Replace a uniformly chosen token of this type.
+                c, _ = _tree_find(
+                    self._rep_trees[i], self._rep_size, self.rng.random() * self.Ytilde[i]
+                )
+                k_idx, khat_idx = self.cc_list[c]
+                self._cc_move(c, self.cc_index[(k_idx, self._held_plus(khat_idx, i))])
+                self.rep_arr[self.space.edge_by_target[i][k_idx]] += 1
+                self.Ytilde[i] -= 1
+            else:
+                e2 = self._put(i)
+                if self._tokens:
+                    self.fresh_arr[e2] += 1
+                self.arrivals[e2] += 1
+                self.Y[i] += 1
+            self.Yhat[i] += 1
+            return
+
+        space = self.space
+        if self._tokens:
+            c = leaf - I
+            i, actual, e, nxt = self._state_row(c, u)
+            self._cc_move(c, nxt)
+            (self.act_dep if actual else self.exp_dep)[e] += 1
+        else:
+            e = leaf - I
+            i = space.edge_type[e]
+            actual = True
+            self._shift(e, -1, push=not self._closed)
+        self.departures[e] += 1
+        self.Y[i] -= 1
+        if not actual:
+            self.Ytilde[i] -= 1
+            return
+        self.Yhat[i] -= 1
+        if not (self._closed or self._tokens):
+            return
+        # The customer goes back in at once (closed), or leaves a token
+        # behind (token mode).
+        e2 = self._put(i, departed_edge=e, actual=not self._tokens)
+        if self._closed and e2 != e:
+            # Most re-placements go back to e and leave every leaf as it was.
+            for t in (space.edge_target[e], space.edge_base[e],
+                      space.edge_target[e2], space.edge_base[e2]):
+                if t >= 0:
+                    self._push(t)
+        self.arrivals[e2] += 1
+        self.Y[i] += 1
+        if self._tokens:
+            self.tok_arr[e2] += 1
+            self.Ytilde[i] += 1
+        else:
+            self.Yhat[i] += 1
 
     # -- sampling ------------------------------------------------------------
 
@@ -707,30 +787,33 @@ class Simulation:
             arrivals={e: v for e, v in enumerate(self.arrivals) if v},
             departures={e: v for e, v in enumerate(self.departures) if v},
         )
-        if self.config.uses_tokens:
+        if self._tokens:
             snap.token_arrivals = {e: v for e, v in enumerate(self.tok_arr) if v}
             snap.replacement_arrivals = {e: v for e, v in enumerate(self.rep_arr) if v}
             snap.fresh_arrivals = {e: v for e, v in enumerate(self.fresh_arr) if v}
             snap.actual_departures = {e: v for e, v in enumerate(self.act_dep) if v}
             snap.expiries = {e: v for e, v in enumerate(self.exp_dep) if v}
-        self._check_conservation(snap)
+        if self._conservation_error():
+            raise InvariantError(
+                "edge counters disagree with the population change "
+                "(or token placements with actual departures)"
+            )
         return snap
 
-    def _check_conservation(self, snap: Snapshot):
-        space = self.space
-        for i in range(space.num_types):
-            edges = space.edges_of_type[i]
+    def _conservation_error(self) -> float:
+        """Largest per-type gap between arrivals minus departures and the
+        population change; in token mode also between token placements and
+        actual departures.  Zero unless the bookkeeping is broken."""
+        err = 0.0
+        for i, edges in enumerate(self.space.edges_of_type):
             a = sum(self.arrivals[e] for e in edges)
             d = sum(self.departures[e] for e in edges)
-            assert a - d == self.Y[i] - self._y0[i], (
-                f"type {i}: arrivals - departures != population change"
-            )
-            if self.config.uses_tokens:
+            err = max(err, abs(a - d - (self.Y[i] - self._y0[i])))
+            if self._tokens:
                 placed = sum(self.tok_arr[e] for e in edges)
                 actual = sum(self.act_dep[e] for e in edges)
-                assert placed == actual, (
-                    f"type {i}: token placements diverged from departures"
-                )
+                err = max(err, abs(placed - actual))
+        return err
 
 
 def run(
@@ -750,24 +833,14 @@ def run(
     next_sample = config.burn_in + interval
     snapshots = []
     while True:
-        total = sim.total_rate()
-        ana = sim._analytic_rate()
-        assert abs(total - ana) <= 1e-9 * (1.0 + ana), "event-rate bookkeeping drifted"
-        if total <= 0.0:
-            t_next = horizon
-        else:
-            t_next = sim.t + sim.rng.expovariate(total)
+        t_next, total = sim._next_event()
         while next_sample <= t_next and next_sample <= horizon:
             snapshots.append(sim.snapshot(next_sample))
             next_sample += interval
         if t_next >= horizon:
             sim.t = horizon
             break
-        sim.t = t_next
-        sim._apply(sim.rng.random() * total)
-        sim.n_events += 1
-        if config.mode == "closed":
-            assert sim.Y == sim._y0, "closed population changed"
+        sim._fire(t_next, total)
 
     summary = _summarize(sim, snapshots, xstar, phistar)
     return RunResult(config=config, snapshots=snapshots, summary=summary)
@@ -801,17 +874,6 @@ def _summarize(sim: Simulation, snapshots, xstar, phistar) -> dict:
         yhat_bar = np.asarray([v / r for v in sim.Yhat])
         ytilde_bar = np.asarray([v / r for v in sim.Ytilde])
 
-    cons = 0.0
-    for i in range(I):
-        edges = space.edges_of_type[i]
-        a = sum(sim.arrivals[e] for e in edges)
-        d = sum(sim.departures[e] for e in edges)
-        cons = max(cons, abs(a - d - (sim.Y[i] - sim._y0[i])))
-        if config.uses_tokens:
-            placed = sum(sim.tok_arr[e] for e in edges)
-            actual = sum(sim.act_dep[e] for e in edges)
-            cons = max(cons, abs(placed - actual))
-
     state = StatePoint(xbar, config.alpha)
     summary = {
         "mode": config.mode,
@@ -838,7 +900,7 @@ def _summarize(sim: Simulation, snapshots, xstar, phistar) -> dict:
         "objective_final": objective(
             StatePoint(np.asarray(sim.X, dtype=float) / r, config.alpha)
         ),
-        "conservation_error": cons,
+        "conservation_error": sim._conservation_error(),
     }
     if space.has_aggregates:
         summary["aggregate_objective_x_bar"] = aggregate_objective(space, state)
