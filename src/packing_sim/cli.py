@@ -21,12 +21,11 @@ import sys
 
 import numpy as np
 
-from .config_space import ConfigSpaceError, space_from_dict, space_to_dict
+from .config_space import ConfigSpaceError, config_key, space_from_dict, space_to_dict
 from .fluid import integrate
 from .optimizer import (
     Demand,
     NonconvergenceError,
-    aggregate_objective,
     objective,
     solve_aggregate_optimum,
     solve_optimum,
@@ -106,7 +105,7 @@ def _emit(obj: dict, out, filename: str):
 
 def _sparse_x(space, x) -> dict:
     return {
-        ",".join(map(str, space.configs[t])): float(v)
+        config_key(space.configs[t]): float(v)
         for t, v in enumerate(x)
         if v
     }
@@ -182,10 +181,7 @@ def cmd_simulate(args) -> int:
         state, _cert = solve_optimum(config.space, config.demand, config.alpha)
         xstar = state.x
         if config.space.has_aggregates:
-            agg_state, _gap = solve_aggregate_optimum(
-                config.space, config.demand, config.alpha
-            )
-            phistar = aggregate_objective(config.space, agg_state)
+            _, phistar = solve_aggregate_optimum(config.space, config.demand, config.alpha)
     except NonconvergenceError:
         pass  # summary simply omits distance-to-optimum fields
     result = run_simulation(config, xstar=xstar, phistar=phistar)

@@ -28,6 +28,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 Configuration = tuple[int, ...]
 
 # Relative slack for capacity comparisons so float profiles behave.
@@ -119,7 +121,11 @@ class AggregateInfo:
     (None when that does not fit), ``minus_type[q][i]`` the class reached by
     removing one (None when no member holds type i; 0 means the zero class).
     ``admit_bases[q][i]`` lists members of q that can accept one type-i
-    customer within the space.
+    customer within the space.  ``member_table`` repeats ``members[1:]`` as
+    one index array, row q-1 for class q, padded to the largest class with
+    the configuration count n: indexing a length-(n+1) vector whose last
+    entry is neutral (0 for sums, -inf for maxima) gives every class its
+    row, so per-class reductions run as one array reduction.
     """
 
     class_of: tuple[int, ...]
@@ -128,6 +134,7 @@ class AggregateInfo:
     plus_type: tuple[tuple[Optional[int], ...], ...]
     minus_type: tuple[tuple[Optional[int], ...], ...]
     admit_bases: tuple[tuple[tuple[int, ...], ...], ...]
+    member_table: np.ndarray = field(compare=False, repr=False)
 
     @property
     def num_classes(self) -> int:
@@ -234,6 +241,10 @@ def _build_aggregates(
     for q, (_, ts) in enumerate(ordered, start=1):
         for t in ts:
             class_of[t] = q
+    # Members ascend by index, hence by lexicographic configuration order.
+    width = max(len(ts) for _, ts in ordered)
+    table = np.array([ts + [len(configs)] * (width - len(ts)) for _, ts in ordered])
+    table.flags.writeable = False
 
     plus_type: list[tuple[Optional[int], ...]] = []
     minus_type: list[tuple[Optional[int], ...]] = []
@@ -284,6 +295,7 @@ def _build_aggregates(
         plus_type=tuple(plus_type),
         minus_type=tuple(minus_type),
         admit_bases=tuple(admit_bases),
+        member_table=table,
     )
 
 
@@ -447,6 +459,11 @@ def validate_explicit_configs(
             if not profile.fits(vec):
                 raise ConfigSpaceError(f"configuration {vec} does not fit the profile")
     return _assemble(num_types, checked, profile)
+
+
+def config_key(config: Sequence[int]) -> str:
+    """Comma-joined counts: the key of a configuration in sparse state maps."""
+    return ",".join(map(str, config))
 
 
 def class_minus_type(space: ConfigSpace, class_id: int, i: int) -> Optional[int]:

@@ -184,19 +184,15 @@ def integrate(
         if clip:
             x = project_to_polytope(A, rho, np.maximum(np.asarray(xl), 0.0))
             xl = list(x)
-        for i in range(space.num_types):
-            tot = 0.0
-            for t, k in enumerate(space.configs):
-                if k[i]:
-                    tot += k[i] * xl[t]
-            if not abs(tot - rho[i]) < 1e-6:
-                raise InvariantError(f"type {i}: per-type conservation drifted")
+        xs.append(np.asarray(xl))
+        drifted = np.flatnonzero(~(np.abs(A @ xs[-1] - rho) < 1e-6))
+        if len(drifted):
+            raise InvariantError(f"type {drifted[0]}: per-type conservation drifted")
         hi = max(xl)
         if hi > bound:
             raise IntegrationError(
                 f"state coordinate {hi:.3g} exceeds bound {bound:.3g}; reduce dt"
             )
-        xs.append(np.asarray(xl).copy())
         fs.append(objective(StatePoint(xs[-1], alpha)))
         times.append((step + 1) * dt)
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config_space import space_to_dict
-from .optimizer import solve_aggregate_optimum, solve_optimum
+from .config_space import config_key, space_to_dict
+from .optimizer import NonconvergenceError, solve_aggregate_optimum, solve_optimum
 from .simulator import (
     SimConfig,
     derive_seed,
@@ -43,6 +43,11 @@ _SUMMARY_KEY = {
     "aggregate_objective_gap": "aggregate_objective_gap",
     "token_fraction": "token_fraction",
     "y_conservation": "conservation_error",
+}
+# The solver whose optimum a metric is measured against.
+_NEEDS_SOLVER = {
+    "l2_to_optimum": "solve_optimum",
+    "aggregate_objective_gap": "solve_aggregate_optimum",
 }
 
 
@@ -160,7 +165,9 @@ def _objective_series(snapshots, alpha: float) -> tuple[list, list]:
 
 
 def _run_cell(args):
-    config, xstar, phistar, metrics, trace_path = args
+    config, xstar, phistar, metrics, trace_path, solver_error = args
+    if solver_error is not None:
+        return {"seed": config.seed, "error": solver_error}
     try:
         result = run_simulation(config, xstar=xstar, phistar=phistar)
     except Exception as exc:  # noqa: BLE001 - cells are isolated
@@ -186,19 +193,29 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
     """Run every (scale, replication) cell and assemble the report.
 
     Failed cells are recorded with an error marker and skipped by the
-    verdicts; the report then carries ``partial: true``.
+    verdicts; the report then carries ``partial: true``.  A solver that
+    does not converge leaves its optimum fields null and its message under
+    ``optimum.errors``; the cells whose metrics need that optimum fail.
     """
     base = exp.base
     space = base.space
     if not exp.r_grid:
         warnings.warn("empty r_grid: nothing to simulate", stacklevel=2)
 
-    state, cert = solve_optimum(space, base.demand, base.alpha)
-    xstar = state.x
-    phistar = None
-    agg_state = None
+    errors = {}
+    state = cert = phistar = None
+    try:
+        state, cert = solve_optimum(space, base.demand, base.alpha)
+    except NonconvergenceError as exc:
+        errors["solve_optimum"] = f"NonconvergenceError: {exc}"
     if space.has_aggregates:
-        _agg_state, phistar = solve_aggregate_optimum(space, base.demand, base.alpha)
+        try:
+            _, phistar = solve_aggregate_optimum(space, base.demand, base.alpha)
+        except NonconvergenceError as exc:
+            errors["solve_aggregate_optimum"] = f"NonconvergenceError: {exc}"
+    xstar = None if state is None else state.x
+    blocked = [errors[_NEEDS_SOLVER[m]] for m in exp.metrics if _NEEDS_SOLVER.get(m) in errors]
+    solver_error = blocked[0] if blocked else None
 
     trace_dir = None
     if exp.output_dir is not None:
@@ -213,7 +230,7 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
             trace = None
             if trace_dir is not None:
                 trace = os.path.join(trace_dir, f"cell{ri:02d}_rep{rep:02d}.csv")
-            jobs.append((config, xstar, phistar, exp.metrics, trace))
+            jobs.append((config, xstar, phistar, exp.metrics, trace, solver_error))
 
     if workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -280,14 +297,16 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
             "metrics": exp.metrics,
         },
         "optimum": {
-            "x": {",".join(map(str, space.configs[t])): float(v)
-                 for t, v in enumerate(xstar) if v},
-            "eta": [float(v) for v in cert.eta],
-            "kkt_residual": float(cert.residual),
+            "x": None if state is None else {
+                config_key(space.configs[t]): float(v) for t, v in enumerate(xstar) if v},
+            "eta": None if cert is None else [float(v) for v in cert.eta],
+            "kkt_residual": None if cert is None else float(cert.residual),
             "aggregate_objective": None if phistar is None else float(phistar),
         },
         "cells": cells,
         "verdicts": verdicts,
         "partial": partial,
     }
+    if errors:
+        report["optimum"]["errors"] = errors
     return report

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config_space import ConfigSpace, ConfigSpaceError
+from .config_space import ConfigSpace, _require_aggregates
 
 DEFAULT_SUPPORT_EPS = 1e-9
 
@@ -117,11 +117,7 @@ class KktCertificate:
 
 def constraint_matrix(space: ConfigSpace) -> np.ndarray:
     """Per-type conservation matrix A with A[i, t] = (config t)_i."""
-    A = np.zeros((space.num_types, space.num_configs))
-    for t, k in enumerate(space.configs):
-        for i, v in enumerate(k):
-            A[i, t] = v
-    return A
+    return np.ascontiguousarray(np.asarray(space.configs, dtype=float).T)
 
 
 def feasibility_gap(space: ConfigSpace, state: StatePoint, demand: Demand) -> float:
@@ -208,16 +204,16 @@ def objective(state: StatePoint, weights=None) -> float:
     return float(np.sum(c * x ** (1.0 + state.alpha)))
 
 
+def _class_rows(space: ConfigSpace, v: np.ndarray, pad: float) -> np.ndarray:
+    """Entries of a per-configuration vector laid out as ``member_table``:
+    one row per nonzero class, members in configuration order, then ``pad``."""
+    return np.append(v, pad)[_require_aggregates(space).member_table]
+
+
 def class_totals(space: ConfigSpace, x: Sequence[float]) -> np.ndarray:
     """Per-class sums of a configuration vector; entry 0 is the zero class."""
-    agg = space.aggregates
-    if agg is None:
-        raise ConfigSpaceError("space has no aggregate classes (no resource profile)")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(agg.num_classes + 1)
-    for q in range(1, agg.num_classes + 1):
-        out[q] = float(np.sum(x[list(agg.members[q])])) if agg.members[q] else 0.0
-    return out
+    rows = _class_rows(space, np.asarray(x, dtype=float), 0.0)
+    return np.concatenate(([0.0], rows.sum(axis=1)))
 
 
 def aggregate_objective(space: ConfigSpace, state: StatePoint, weights=None) -> float:
@@ -407,39 +403,27 @@ def kkt_certificate(
     if not aggregate:
         return _certificate_plain(space, x, alpha, np.ones(space.num_configs))
 
-    agg = space.aggregates
-    if agg is None:
-        raise ConfigSpaceError("space has no aggregate classes (no resource profile)")
-    s = class_totals(space, x)
-    sa = s ** alpha
+    agg = _require_aggregates(space)
+    sa = class_totals(space, x) ** alpha
     thr = support_eps * max(float(np.max(x, initial=0.0)), 1.0)
 
-    # Class-level weight differential along (q, i); entry 0 is the zero class.
-    def delta_qi(q, i):
-        down = agg.minus_type[q][i]
-        return sa[q] - (sa[down] if down else 0.0)
-
-    eta = np.zeros(space.num_types)
-    for i in range(space.num_types):
-        vals = []
-        for t, k in enumerate(space.configs):
-            if k[i] >= 1 and x[t] > thr:
-                vals.append(delta_qi(agg.class_of[t], i))
-        if not vals:
-            continue
-        hi, lo = max(vals), min(vals)
-        eta[i] = hi if hi > 0 else lo
-
+    # Class-level weight differential along (class of t, i) for every
+    # configuration t holding type i; sa[0] = 0 stands for the zero class.
     K = _config_rows(space)
-    u = np.maximum(K @ eta, 0.0)
-    residual = 0.0
-    for q in range(1, agg.num_classes + 1):
-        umax = max(u[t] for t in agg.members[q])
-        residual = max(residual, abs(sa[q] - umax))
-        for t in agg.members[q]:
-            if u[t] < umax - 1e-12 * max(1.0, umax):
-                residual = max(residual, x[t] ** alpha)
-    return KktCertificate(eta=eta, residual=float(residual))
+    cls = np.asarray(agg.class_of)
+    down = np.array([[d or 0 for d in row] for row in agg.minus_type])[cls]
+    delta = sa[cls][:, None] - sa[down]
+    held = (K >= 1) & (x > thr)[:, None]
+    hi = np.where(held, delta, -np.inf).max(axis=0)
+    lo = np.where(held, delta, np.inf).min(axis=0)
+    eta = np.where(hi > 0, hi, np.where(held.any(axis=0), lo, 0.0))
+
+    u = _class_rows(space, np.maximum(K @ eta, 0.0), -np.inf)
+    umax = u.max(axis=1)
+    idle = _class_rows(space, x, 0.0)[u < (umax - 1e-12 * np.maximum(1.0, umax))[:, None]]
+    residual = max(float(np.max(np.abs(sa[1:] - umax))),
+                   max((v ** alpha for v in idle.tolist() if v > 0), default=0.0))
+    return KktCertificate(eta=eta, residual=residual)
 
 
 def solve_aggregate_optimum(
@@ -460,50 +444,43 @@ def solve_aggregate_optimum(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    agg = space.aggregates
-    if agg is None:
-        raise ConfigSpaceError("space has no aggregate classes (no resource profile)")
+    agg = _require_aggregates(space)
+    class_of = np.asarray(agg.class_of)
     A = constraint_matrix(space)
     rho = demand.rho
     K = _config_rows(space)
-    members = [list(m) for m in agg.members]
-    n_classes = agg.num_classes
 
     def phi(x):
         return aggregate_objective(space, StatePoint(x, alpha))
 
     def grad(x):
-        s = class_totals(space, x) ** alpha
-        g = np.empty(space.num_configs)
-        for t in range(space.num_configs):
-            g[t] = s[agg.class_of[t]]
-        return g
+        return (class_totals(space, x) ** alpha)[class_of]
 
     x = _pg_minimize(
         A, rho, _feasible_start(space, demand), alpha, np.ones(space.num_configs),
         grad, phi, iters=max_iter,
     )
 
+    # Per-class terms use scalar pow (numpy's array ** rounds differently
+    # on some inputs) and are subtracted one class after the other.
     def dual_value(eta):
-        ke = K @ eta
-        total = float(rho @ eta)
-        for q in range(1, n_classes + 1):
-            uq = max(0.0, max(ke[t] for t in members[q]))
-            total -= alpha / (1.0 + alpha) * uq ** ((1.0 + alpha) / alpha)
-        return total
+        u = np.maximum(_class_rows(space, K @ eta, -np.inf).max(axis=1), 0.0)
+        terms = [alpha / (1.0 + alpha) * v ** ((1.0 + alpha) / alpha) for v in u.tolist()]
+        return float(np.subtract.reduce([float(rho @ eta)] + terms))
 
     def dual_grad_hess(eta):
-        ke = K @ eta
-        g = rho.copy()
-        H = np.zeros((space.num_types, space.num_types))
-        for q in range(1, n_classes + 1):
-            t_best = max(members[q], key=lambda t: (ke[t], [-v for v in space.configs[t]]))
-            uq = ke[t_best]
-            if uq <= 0:
-                continue
-            kvec = K[t_best]
-            g -= uq ** (1.0 / alpha) * kvec
-            H -= (1.0 / alpha) * min(uq ** (1.0 / alpha - 1.0), 1e12) * np.outer(kvec, kvec)
+        ke = _class_rows(space, K @ eta, -np.inf)
+        # The first maximal member is the lexicographically smallest one.
+        best = agg.member_table[np.arange(len(ke)), ke.argmax(axis=1)]
+        u = ke.max(axis=1)
+        kb = K[best[u > 0]]
+        u = u[u > 0].tolist()
+        a = np.array([v ** (1.0 / alpha) for v in u]).reshape(-1, 1)
+        c = np.array([(1.0 / alpha) * min(v ** (1.0 / alpha - 1.0), 1e12) for v in u])
+        g = np.subtract.reduce(np.vstack([rho, a * kb]))
+        outer = kb[:, :, None] * kb[:, None, :]
+        zero = np.zeros((1, len(rho), len(rho)))
+        H = np.subtract.reduce(np.concatenate([zero, c[:, None, None] * outer]))
         return g, H
 
     eta = kkt_certificate(space, StatePoint(x, alpha), demand, aggregate=True).eta.copy()
@@ -546,24 +523,16 @@ def solve_aggregate_optimum(
 
 def _recover_aggregate_primal(space, A, rho, K, eta, alpha, fallback):
     """Distribute per-class totals implied by eta over argmax members."""
-    agg = space.aggregates
-    ke = K @ eta
-    allowed = np.zeros(space.num_configs, dtype=bool)
-    rows = [A]
-    rhs = [rho]
-    for q in range(1, agg.num_classes + 1):
-        umax = max(ke[t] for t in agg.members[q])
-        if umax <= 0:
-            continue
-        sel = [t for t in agg.members[q] if ke[t] >= umax - 1e-10 * max(1.0, abs(umax))]
-        row = np.zeros(space.num_configs)
-        row[sel] = 1.0
-        for t in sel:
-            allowed[t] = True
-        rows.append(row[None, :])
-        rhs.append(np.array([umax ** (1.0 / alpha)]))
-    C = np.vstack(rows)[:, allowed]
-    d = np.concatenate(rhs)
+    ke = _class_rows(space, K @ eta, -np.inf)
+    umax = ke.max(axis=1)
+    on = umax > 0
+    ke, umax = ke[on], umax[on]
+    sel = ke >= (umax - 1e-10 * np.maximum(1.0, np.abs(umax)))[:, None]
+    rows = np.zeros((len(umax), space.num_configs))
+    rows[np.nonzero(sel)[0], space.aggregates.member_table[on][sel]] = 1.0
+    allowed = rows.any(axis=0)
+    C = np.vstack([A, rows])[:, allowed]
+    d = np.concatenate([rho, [v ** (1.0 / alpha) for v in umax.tolist()]])
     try:
         z = project_to_polytope(C, d, np.maximum(fallback[allowed], 0.0))
     except NonconvergenceError:
@@ -685,9 +654,7 @@ def no_simple_improvement(
     type-i customer, or the recipient class below q' is nonzero and empty.
     Returns a witness ((q, i), (q', i)) for the first violation found.
     """
-    agg = space.aggregates
-    if agg is None:
-        raise ConfigSpaceError("space has no aggregate classes (no resource profile)")
+    agg = _require_aggregates(space)
     x = np.maximum(state.x, 0.0)
     s = class_totals(space, x)
     sa = s ** state.alpha

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config_space import ConfigSpace, ConfigSpaceError, InvariantError
+from .config_space import ConfigSpace, ConfigSpaceError, InvariantError, config_key
 from .optimizer import Demand, StatePoint, aggregate_objective, objective
 
 MODES = ("closed", "open")
@@ -887,8 +887,7 @@ def _summarize(sim: Simulation, snapshots, xstar, phistar) -> dict:
         "n_samples": len(snapshots),
         "n_events": sim.n_events,
         "final_time": sim.t,
-        "x_bar": {",".join(map(str, space.configs[t])): float(v)
-                  for t, v in enumerate(xbar) if v},
+        "x_bar": {config_key(space.configs[t]): float(v) for t, v in enumerate(xbar) if v},
         "y_bar": [float(v) for v in ybar],
         "yhat_bar": [float(v) for v in yhat_bar],
         "ytilde_bar": [float(v) for v in ytilde_bar],
@@ -930,10 +929,7 @@ def write_snapshots_csv(space: ConfigSpace, snapshots, path) -> None:
             + [f"ytilde{i}" for i in range(I)]
         )
         for s in snapshots:
-            xs = {
-                ",".join(map(str, space.configs[t])): v
-                for t, v in sorted(s.x.items())
-            }
+            xs = {config_key(space.configs[t]): v for t, v in sorted(s.x.items())}
             w.writerow(
                 [s.t, json.dumps(xs, sort_keys=True)]
                 + list(s.y)

@@ -205,3 +205,25 @@ class TestPlumbing:
         import shutil
 
         assert shutil.which("packing-sim") is not None
+
+
+class TestSolverFailure:
+    def test_check_exits_two_when_aggregate_solver_fails(self, tmp_path, capsys):
+        import numpy as np
+
+        rng = np.random.default_rng(3)
+        cfg = write_config(
+            tmp_path,
+            space={"B": [1.0, 1.0], "b": [[0.3, 0.1], [0.1, 0.3], [0.2, 0.2], [0.45, 0.05]]},
+            arrival=rng.uniform(0.2, 3.0, 4).tolist(),
+            service=rng.uniform(0.2, 3.0, 4).tolist(),
+            alpha=0.25, discipline="greedy-d-ac", r_grid=[10, 20],
+            horizon=2.0, burn_in=0.5, sample_interval=0.1, seed=1,
+        )
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--check"]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["partial"] is True
+        assert report["optimum"]["aggregate_objective"] is None
+        assert "solve_aggregate_optimum" in report["optimum"]["errors"]
+        assert "decreasing=None" in capsys.readouterr().out

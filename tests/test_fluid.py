@@ -166,3 +166,43 @@ class TestTokenOdes:
         with pytest.raises(ValueError):
             token_odes(demand, token_rate=1.0, yhat0=np.zeros(1),
                        ytilde0=np.zeros(1), horizon=1.0, dt=0.0)
+
+
+class TestConservationCheck:
+    """``integrate`` re-checks A x = rho after every step and names the first
+    type that drifted; a projection that leaves the polytope must trip it."""
+
+    @staticmethod
+    def b3():
+        space = enumerate_configs(ResourceProfile((3.0,), ((1.0,), (2.0,))))
+        demand = Demand(np.array([0.5, 0.25]), np.ones(2))
+        x0 = np.zeros(space.num_configs)
+        x0[list(space.unit_index)] = demand.rho
+        return space, demand, x0
+
+    def test_real_projection_passes(self):
+        space, demand, x0 = self.b3()
+        # dt = 0.5 overshoots and clips on this path.
+        traj = integrate(space, x0, demand, 1.0, horizon=2.0, dt=0.5)
+        assert len(traj.times) == 5
+
+    @pytest.mark.parametrize("config,value,drifted", [((0, 1), 0.01, 1),
+                                                      ((1, 0), np.nan, 0)])
+    def test_off_polytope_projection_raises(self, monkeypatch, config, value, drifted):
+        import packing_sim.fluid as fluid_mod
+        from packing_sim.config_space import InvariantError
+
+        space, demand, x0 = self.b3()
+        real = fluid_mod.project_to_polytope
+        calls = []
+
+        def off_polytope(A, b, z):
+            calls.append(z)
+            x = real(A, b, z)
+            x[space.config_index(config)] += value
+            return x
+
+        monkeypatch.setattr(fluid_mod, "project_to_polytope", off_polytope)
+        with pytest.raises(InvariantError, match=f"type {drifted}: per-type conservation"):
+            integrate(space, x0, demand, 1.0, horizon=2.0, dt=0.5)
+        assert len(calls) == 1

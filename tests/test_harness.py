@@ -230,3 +230,59 @@ class TestRunExperiment:
         stats = report["cells"][0]["stats"]["token_fraction"]
         assert 0.0 <= stats["mean"] < 1.0
         assert report["experiment"]["token_rate"] == cfg.token_rate
+
+
+class TestSolverFailure:
+    """A solver that does not converge nulls its optimum fields and fails
+    exactly the cells whose metrics need that optimum."""
+
+    @staticmethod
+    def p48_gap_failure():
+        # The aggregate solver stops at duality gap 2.955e-06 here; the
+        # plain solver converges.
+        rng = np.random.default_rng(3)
+        demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+        profile = ResourceProfile((1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))
+        return base_config(space=enumerate_configs(profile), demand=demand, alpha=0.25,
+                           discipline="greedy-d-ac", r=10, horizon=2.0, burn_in=0.5,
+                           sample_interval=0.1)
+
+    def test_aggregate_failure_fails_gap_cells(self):
+        exp = Experiment(base=self.p48_gap_failure(), r_grid=[10, 20],
+                         metrics=["aggregate_objective_gap", "y_conservation"])
+        report = run_experiment(exp)
+        optimum = report["optimum"]
+        assert optimum["aggregate_objective"] is None
+        message = optimum["errors"]["solve_aggregate_optimum"]
+        assert message.startswith("NonconvergenceError: aggregate solver gap 2.955e-06")
+        assert list(optimum["errors"]) == ["solve_aggregate_optimum"]
+        assert optimum["kkt_residual"] <= 1e-9 and optimum["x"]
+        assert report["partial"] is True
+        for cell in report["cells"]:
+            assert cell["replications"][0]["error"] == message
+            assert cell["stats"]["aggregate_objective_gap"] is None
+        assert report["verdicts"]["aggregate_objective_gap"]["decreasing"] is None
+
+    def test_cells_without_that_metric_still_run(self):
+        exp = Experiment(base=self.p48_gap_failure(), r_grid=[10, 20],
+                         metrics=["l2_to_optimum"])
+        report = run_experiment(exp)
+        assert "solve_aggregate_optimum" in report["optimum"]["errors"]
+        assert report["partial"] is False
+        assert all(c["stats"]["l2_to_optimum"]["n"] == 1 for c in report["cells"])
+
+    def test_plain_failure_nulls_its_fields(self, monkeypatch):
+        from packing_sim.optimizer import NonconvergenceError
+
+        def stalled(space, demand, alpha):
+            raise NonconvergenceError("optimum solver stalled")
+
+        monkeypatch.setattr("packing_sim.harness.solve_optimum", stalled)
+        report = run_experiment(Experiment(base=base_config(), r_grid=[10, 20]))
+        optimum = report["optimum"]
+        assert optimum["x"] is None and optimum["eta"] is None
+        assert optimum["kkt_residual"] is None
+        assert optimum["errors"] == {
+            "solve_optimum": "NonconvergenceError: optimum solver stalled"}
+        assert report["partial"] is True
+        assert all(c["missing"] == 1 for c in report["cells"])

@@ -1,0 +1,116 @@
+"""The class-level optimizer against its frozen predecessor (``oracle_optimizer``).
+
+States, values, certificates and failures of the aggregate (Phi) solver
+must agree byte for byte, and so must the class functions on random
+states.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_optimizer as oracle
+from packing_sim.config_space import ResourceProfile, enumerate_configs
+from packing_sim.optimizer import (
+    Demand,
+    NonconvergenceError,
+    StatePoint,
+    aggregate_objective,
+    class_totals,
+    kkt_certificate,
+    no_simple_improvement,
+    solve_aggregate_optimum,
+)
+
+ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+SPACES = {
+    "b3": enumerate_configs(ResourceProfile((3.0,), ((1.0,), (2.0,)))),
+    "p48": enumerate_configs(
+        ResourceProfile((1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))
+    ),
+    "p428": enumerate_configs(
+        ResourceProfile((1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03)))
+    ),
+}
+
+
+def uniform_demand(seed):
+    rng = np.random.default_rng(seed)
+    return Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+
+
+# Draws 3 and 5 include a duality-gap failure (draw 3, alpha 0.25) and
+# projection failures that carry no state (alpha 2 and 4).
+INSTANCES = (
+    [("b3", Demand(np.array([0.5, 0.25]), np.ones(2)), a) for a in ALPHAS]
+    + [("p48", uniform_demand(seed), a) for seed in (3, 5) for a in ALPHAS]
+    + [("p428", Demand(np.ones(4), np.ones(4)), 1.0)]
+)
+
+
+def outcome(solver, space, demand, alpha):
+    """Bytes of the state and value, or the error's type, message and state."""
+    try:
+        state, value = solver(space, demand, alpha)
+    except NonconvergenceError as exc:
+        best = None if exc.state is None else exc.state.x.tobytes()
+        return ("error", type(exc).__name__, str(exc), best)
+    return ("ok", state.x.tobytes(), np.float64(value).tobytes())
+
+
+@pytest.mark.parametrize(
+    "name,demand,alpha", INSTANCES,
+    ids=[f"{name}-{i}-alpha{a}" for i, (name, _, a) in enumerate(INSTANCES)],
+)
+def test_solve_aggregate_matches_oracle(name, demand, alpha):
+    space = SPACES[name]
+    got = outcome(solve_aggregate_optimum, space, demand, alpha)
+    assert got == outcome(oracle.solve_aggregate_optimum, space, demand, alpha)
+    if got[0] == "ok":
+        state = StatePoint(np.frombuffer(got[1]), alpha)
+        cert = kkt_certificate(space, state, demand, aggregate=True)
+        ref = oracle.kkt_certificate_aggregate(space, state, demand)
+        assert cert.eta.tobytes() == ref.eta.tobytes()
+        assert cert.residual == ref.residual
+
+
+@st.composite
+def random_states(draw):
+    space = SPACES[draw(st.sampled_from(["b3", "p48", "p428"]))]
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = space.num_configs
+    x = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 2, n)
+    # Exact zeros, so that idle members and empty classes occur.
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    alpha = draw(st.sampled_from(ALPHAS + (0.7, 3.3)))
+    return space, StatePoint(x, alpha), Demand(rng.uniform(0.2, 3.0, space.num_types),
+                                               rng.uniform(0.2, 3.0, space.num_types))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_states())
+def test_class_functions_match_oracle(case):
+    space, state, demand = case
+    x = state.x
+    assert class_totals(space, x).tobytes() == oracle.class_totals(space, x).tobytes()
+    assert aggregate_objective(space, state) == oracle.aggregate_objective(space, state)
+    cert = kkt_certificate(space, state, demand, aggregate=True)
+    ref = oracle.kkt_certificate_aggregate(space, state, demand)
+    assert cert.eta.tobytes() == ref.eta.tobytes()
+    assert cert.residual == ref.residual
+    assert no_simple_improvement(space, state) == oracle.no_simple_improvement(space, state)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_members_ascend_in_lexicographic_order(name):
+    space = SPACES[name]
+    agg = space.aggregates
+    table = agg.member_table
+    assert table.shape == (agg.num_classes, max(len(m) for m in agg.members))
+    for q in range(1, agg.num_classes + 1):
+        members = agg.members[q]
+        configs = [space.configs[t] for t in members]
+        assert configs == sorted(configs) and len(set(configs)) == len(configs)
+        row = table[q - 1].tolist()
+        assert row == list(members) + [space.num_configs] * (table.shape[1] - len(members))
