@@ -30,7 +30,7 @@ from .optimizer import (
     solve_aggregate_optimum,
     solve_optimum,
 )
-from .harness import Experiment, run_experiment
+from .harness import Experiment, run_experiment, solve_optima
 from .simulator import (
     AltPlacement,
     SimConfig,
@@ -175,15 +175,9 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     config = _sim_config(cfg, args)
-    xstar = None
-    phistar = None
-    try:
-        state, _cert = solve_optimum(config.space, config.demand, config.alpha)
-        xstar = state.x
-        if config.space.has_aggregates:
-            _, phistar = solve_aggregate_optimum(config.space, config.demand, config.alpha)
-    except NonconvergenceError:
-        pass  # summary simply omits distance-to-optimum fields
+    # The summary omits the distance fields of a solver that fails.
+    state, _cert, phistar, _errors = solve_optima(config.space, config.demand, config.alpha)
+    xstar = None if state is None else state.x
     result = run_simulation(config, xstar=xstar, phistar=phistar)
     out = _out_dir(args)
     if out:

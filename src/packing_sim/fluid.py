@@ -4,12 +4,12 @@ At fluid scale, departures drain each edge (k, i) at rate k_i mu_i x_k
 and the drained mass is immediately re-placed along the lightest
 available same-type edge (smallest weight differential).  Availability
 means the edge target is a unit configuration or the configuration below
-it carries more than ``feas_eps`` mass; the donor's own edge is always
-available to its own mass, because the departing customer can go back
-into the server it just left.  When the donor edge already attains the
-minimum (within ``tie_tol``) its mass stays put; otherwise it is split
-equally among the minimizing available edges.  This keeps the objective
-minimizer an exact fixed point of the integrator.
+it carries more than ``DEFAULT_FEAS_EPS`` mass; the donor's own edge is
+always available to its own mass, because the departing customer can go
+back into the server it just left.  When the donor edge already attains
+the minimum (within ``DEFAULT_TIE_TOL``) its mass stays put; otherwise it
+is split equally among the minimizing available edges.  This keeps the
+objective minimizer an exact fixed point of the integrator.
 
 The integrator is explicit Euler with negative-coordinate clipping
 followed by exact re-projection onto the feasible polytope.  Token
@@ -28,6 +28,7 @@ from .optimizer import (
     Allocation,
     Demand,
     StatePoint,
+    _edge_mass_coefficients,
     constraint_matrix,
     objective,
     project_to_polytope,
@@ -54,46 +55,62 @@ class FluidTrajectory:
         return self.states[-1]
 
 
-def greedy_rate_allocation(
-    space: ConfigSpace,
-    state: StatePoint,
-    demand: Demand,
-    feas_eps: float = DEFAULT_FEAS_EPS,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> Allocation:
-    """Placement rates induced by greedy re-placement at the given state."""
-    x = state.x
-    alpha = state.alpha
-    gamma = np.zeros(space.num_edges)
-    mu = demand.service
-    for i in range(space.num_types):
-        edges = space.edges_of_type[i]
-        deltas = []
-        for e in edges:
-            t = space.edge_target[e]
-            b = space.edge_base[e]
-            hi = max(x[t], 0.0) ** alpha
-            lo = max(x[b], 0.0) ** alpha if b >= 0 else 0.0
-            deltas.append(hi - lo)
-        avail = [
-            j
-            for j, e in enumerate(edges)
-            if space.edge_base[e] < 0 or x[space.edge_base[e]] > feas_eps
-        ]
-        m = min(deltas[j] for j in avail)
-        winners = [j for j in avail if deltas[j] <= m + tie_tol]
-        share = 1.0 / len(winners)
-        for j, e in enumerate(edges):
-            t = space.edge_target[e]
-            mass = space.configs[t][i] * mu[i] * max(x[t], 0.0)
-            if mass <= 0.0:
-                continue
-            if deltas[j] <= m + tie_tol:
-                gamma[e] += mass
-            else:
+def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
+    """The greedy re-placement rule as ``flows(xl)``: the net rate per edge.
+
+    Static edge tables are built once as plain lists; ``flows`` takes the
+    state as a list and moves each donor edge's departure mass off the
+    edge and onto the minimizing available edges in equal shares.  Mass
+    whose own edge attains the minimum returns to it: no net flow.
+    """
+    e_target = list(space.edge_target)
+    e_base = list(space.edge_base)
+    e_coef = _edge_mass_coefficients(space, demand).tolist()
+    per_type = [list(space.edges_of_type[i]) for i in range(space.num_types)]
+    num_edges = space.num_edges
+
+    def flows(xl):
+        out = [0.0] * num_edges
+        for edges in per_type:
+            deltas = []
+            for e in edges:
+                t = e_target[e]
+                b = e_base[e]
+                hi = xl[t] ** alpha if xl[t] > 0.0 else 0.0
+                lo = (xl[b] ** alpha if xl[b] > 0.0 else 0.0) if b >= 0 else 0.0
+                deltas.append(hi - lo)
+            m = None
+            winners = []
+            for j, e in enumerate(edges):
+                b = e_base[e]
+                if b < 0 or xl[b] > DEFAULT_FEAS_EPS:
+                    if m is None or deltas[j] < m:
+                        m = deltas[j]
+            for j, e in enumerate(edges):
+                b = e_base[e]
+                if (b < 0 or xl[b] > DEFAULT_FEAS_EPS) and deltas[j] <= m + DEFAULT_TIE_TOL:
+                    winners.append(j)
+            share = 1.0 / len(winners)
+            for j, e in enumerate(edges):
+                t = e_target[e]
+                mass = e_coef[e] * xl[t] if xl[t] > 0.0 else 0.0
+                if mass <= 0.0 or deltas[j] <= m + DEFAULT_TIE_TOL:
+                    continue
+                out[e] -= mass
                 for jw in winners:
-                    gamma[edges[jw]] += mass * share
-    return Allocation(gamma=gamma)
+                    out[edges[jw]] += mass * share
+        return out
+
+    return flows
+
+
+def greedy_rate_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> Allocation:
+    """Placement rates induced by greedy re-placement at the given state:
+    each edge's own departure mass plus the net re-placement flow."""
+    x = state.x
+    mass = _edge_mass_coefficients(space, demand) * np.maximum(x, 0.0)[list(space.edge_target)]
+    flows = _greedy_flows(space, demand, state.alpha)(list(x))
+    return Allocation(gamma=mass + np.asarray(flows))
 
 
 def integrate(
@@ -103,8 +120,6 @@ def integrate(
     alpha: float,
     horizon: float,
     dt: float,
-    feas_eps: float = DEFAULT_FEAS_EPS,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> FluidTrajectory:
     """Euler integration of the greedy fluid dynamics from a feasible state."""
     if dt <= 0 or horizon < 0:
@@ -117,58 +132,18 @@ def integrate(
     if float(np.max(np.abs(A @ x - rho))) > 1e-9 or np.min(x) < -1e-12:
         raise ValueError("x0 is not on the feasible polytope")
 
-    mu = demand.service
     n_steps = int(round(horizon / dt))
     bound = 2.0 * float(np.max(rho))
-
-    # Static edge tables as plain lists; the step loop is pure Python.
-    e_type = list(space.edge_type)
+    flows_at = _greedy_flows(space, demand, alpha)
     e_target = list(space.edge_target)
     e_base = list(space.edge_base)
-    e_coef = [
-        space.configs[e_target[e]][e_type[e]] * mu[e_type[e]]
-        for e in range(space.num_edges)
-    ]
-    per_type = [list(space.edges_of_type[i]) for i in range(space.num_types)]
 
     xs = [x.copy()]
     fs = [objective(StatePoint(x, alpha))]
     times = [0.0]
     xl = list(x)
     for step in range(n_steps):
-        flows = [0.0] * space.num_edges
-        for i in range(space.num_types):
-            edges = per_type[i]
-            deltas = []
-            for e in edges:
-                t = e_target[e]
-                b = e_base[e]
-                hi = xl[t] ** alpha if xl[t] > 0.0 else 0.0
-                lo = (xl[b] ** alpha if xl[b] > 0.0 else 0.0) if b >= 0 else 0.0
-                deltas.append(hi - lo)
-            m = None
-            winners = []
-            for j, e in enumerate(edges):
-                b = e_base[e]
-                if b < 0 or xl[b] > feas_eps:
-                    if m is None or deltas[j] < m:
-                        m = deltas[j]
-            for j, e in enumerate(edges):
-                b = e_base[e]
-                if (b < 0 or xl[b] > feas_eps) and deltas[j] <= m + tie_tol:
-                    winners.append(j)
-            share = 1.0 / len(winners)
-            for j, e in enumerate(edges):
-                t = e_target[e]
-                mass = e_coef[e] * xl[t] if xl[t] > 0.0 else 0.0
-                if mass <= 0.0:
-                    continue
-                if deltas[j] <= m + tie_tol:
-                    continue  # mass returns to its own edge: no net flow
-                flows[e] -= mass
-                for jw in winners:
-                    flows[edges[jw]] += mass * share
-
+        flows = flows_at(xl)
         clip = False
         for e in range(space.num_edges):
             f = flows[e]

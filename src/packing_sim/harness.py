@@ -189,6 +189,27 @@ def _run_cell(args):
     return out
 
 
+def solve_optima(space, demand, alpha: float):
+    """Both fluid optima, each solver guarded on its own.
+
+    Returns (state, certificate, phistar, errors).  A solver that does not
+    converge leaves its fields None and its message in ``errors`` under
+    the solver's name; phistar is None on a space without classes.
+    """
+    errors = {}
+    state = cert = phistar = None
+    try:
+        state, cert = solve_optimum(space, demand, alpha)
+    except NonconvergenceError as exc:
+        errors["solve_optimum"] = f"NonconvergenceError: {exc}"
+    if space.has_aggregates:
+        try:
+            _, phistar = solve_aggregate_optimum(space, demand, alpha)
+        except NonconvergenceError as exc:
+            errors["solve_aggregate_optimum"] = f"NonconvergenceError: {exc}"
+    return state, cert, phistar, errors
+
+
 def run_experiment(exp: Experiment, workers: int = 1) -> dict:
     """Run every (scale, replication) cell and assemble the report.
 
@@ -202,17 +223,7 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
     if not exp.r_grid:
         warnings.warn("empty r_grid: nothing to simulate", stacklevel=2)
 
-    errors = {}
-    state = cert = phistar = None
-    try:
-        state, cert = solve_optimum(space, base.demand, base.alpha)
-    except NonconvergenceError as exc:
-        errors["solve_optimum"] = f"NonconvergenceError: {exc}"
-    if space.has_aggregates:
-        try:
-            _, phistar = solve_aggregate_optimum(space, base.demand, base.alpha)
-        except NonconvergenceError as exc:
-            errors["solve_aggregate_optimum"] = f"NonconvergenceError: {exc}"
+    state, cert, phistar, errors = solve_optima(space, base.demand, base.alpha)
     xstar = None if state is None else state.x
     blocked = [errors[_NEEDS_SOLVER[m]] for m in exp.metrics if _NEEDS_SOLVER.get(m) in errors]
     solver_error = blocked[0] if blocked else None

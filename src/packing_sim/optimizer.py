@@ -21,10 +21,6 @@ totals instead (Phi).  This module provides:
   drift D (the derivative of F along the induced fluid motion), and the
   search for simple improving reallocations whose drift is negative
   exactly when x is suboptimal.
-
-Multiplier recovery and all tolerances assume the default objective
-weights; the ``weights`` hook scales each x_k^(1+alpha) term by c_k and
-is provided for experimentation only.
 """
 
 from __future__ import annotations
@@ -184,24 +180,10 @@ def project_to_polytope(
     raise NonconvergenceError("projection active-set iteration did not settle")
 
 
-def _weight_vector(space: ConfigSpace, alpha: float, weights) -> np.ndarray:
-    # Internal scaling w_k = (1+alpha) c_k, so grad F = w * x^alpha and the
-    # default c_k = 1/(1+alpha) gives w = 1.
-    if weights is None:
-        return np.ones(space.num_configs)
-    w = np.asarray(weights, dtype=float) * (1.0 + alpha)
-    if w.shape != (space.num_configs,) or np.any(w <= 0):
-        raise ValueError("weights must be positive, one per configuration")
-    return w
-
-
-def objective(state: StatePoint, weights=None) -> float:
-    """F(x): separable placement objective (optionally c_k-weighted)."""
+def objective(state: StatePoint) -> float:
+    """F(x): separable placement objective."""
     x = np.maximum(state.x, 0.0)
-    if weights is None:
-        return float(np.sum(x ** (1.0 + state.alpha)) / (1.0 + state.alpha))
-    c = np.asarray(weights, dtype=float)
-    return float(np.sum(c * x ** (1.0 + state.alpha)))
+    return float(np.sum(x ** (1.0 + state.alpha)) / (1.0 + state.alpha))
 
 
 def _class_rows(space: ConfigSpace, v: np.ndarray, pad: float) -> np.ndarray:
@@ -216,10 +198,8 @@ def class_totals(space: ConfigSpace, x: Sequence[float]) -> np.ndarray:
     return np.concatenate(([0.0], rows.sum(axis=1)))
 
 
-def aggregate_objective(space: ConfigSpace, state: StatePoint, weights=None) -> float:
+def aggregate_objective(space: ConfigSpace, state: StatePoint) -> float:
     """Phi(x): class-total variant of the objective."""
-    if weights is not None:
-        raise NotImplementedError("per-class weights are not supported")
     s = np.maximum(class_totals(space, state.x), 0.0)
     return float(np.sum(s[1:] ** (1.0 + state.alpha)) / (1.0 + state.alpha))
 
@@ -235,7 +215,7 @@ def _feasible_start(space: ConfigSpace, demand: Demand) -> np.ndarray:
     return x
 
 
-def _pg_minimize(A, rho, x0, alpha, w, grad, value, iters=250):
+def _pg_minimize(A, rho, x0, grad, value, iters=250):
     """Projected gradient with backtracking and Barzilai-Borwein steps."""
     x = project_to_polytope(A, rho, x0)
     g = grad(x)
@@ -264,8 +244,8 @@ def _pg_minimize(A, rho, x0, alpha, w, grad, value, iters=250):
     return x
 
 
-def _dual_newton_separable(A, rho, alpha, w, eta0, iters=80):
-    """Solve A x(eta) = rho with x_k(eta) = (max(k.eta,0)/w_k)^(1/alpha).
+def _dual_newton_separable(A, rho, alpha, eta0, iters=80):
+    """Solve A x(eta) = rho with x_k(eta) = max(k.eta,0)^(1/alpha).
 
     Damped semismooth Newton on the concave dual; returns the best eta
     found.  One exact step when alpha == 1.
@@ -274,8 +254,7 @@ def _dual_newton_separable(A, rho, alpha, w, eta0, iters=80):
     inv_alpha = 1.0 / alpha
 
     def primal(eta):
-        u = np.maximum(K @ eta, 0.0)
-        return (u / w) ** inv_alpha
+        return np.maximum(K @ eta, 0.0) ** inv_alpha
 
     def h(eta):
         return A @ primal(eta) - rho
@@ -292,8 +271,7 @@ def _dual_newton_separable(A, rho, alpha, w, eta0, iters=80):
         if norm <= 1e-14:
             break
         dxdu = np.zeros(len(u))
-        um = u[mask] / w[mask]
-        dxdu[mask] = inv_alpha * um ** (inv_alpha - 1.0) / w[mask]
+        dxdu[mask] = inv_alpha * u[mask] ** (inv_alpha - 1.0)
         # Guard the exploding derivative near the kink for alpha > 1.
         np.clip(dxdu, 0.0, 1e12, out=dxdu)
         J = (K.T * dxdu) @ K
@@ -323,7 +301,6 @@ def solve_optimum(
     demand: Demand,
     alpha: float,
     tol: float = 1e-9,
-    weights=None,
     max_iter: int = 250,
 ) -> tuple[StatePoint, KktCertificate]:
     """Minimize F over the feasible polytope.
@@ -337,24 +314,23 @@ def solve_optimum(
         raise ValueError("alpha must be positive")
     A = constraint_matrix(space)
     rho = demand.rho
-    w = _weight_vector(space, alpha, weights)
 
     def grad(x):
-        return w * np.maximum(x, 0.0) ** alpha
+        return np.maximum(x, 0.0) ** alpha
 
     def value(x):
-        return float(np.sum(w * np.maximum(x, 0.0) ** (1.0 + alpha)) / (1.0 + alpha))
+        return float(np.sum(np.maximum(x, 0.0) ** (1.0 + alpha)) / (1.0 + alpha))
 
-    x = _pg_minimize(A, rho, _feasible_start(space, demand), alpha, w, grad, value, iters=max_iter)
-    cert = _certificate_plain(space, x, alpha, w)
+    x = _pg_minimize(A, rho, _feasible_start(space, demand), grad, value, iters=max_iter)
+    cert = _certificate_plain(space, x, alpha)
     feas = float(np.max(np.abs(A @ x - rho)))
     best_x, best_cert, best_score = x, cert, max(cert.residual, feas)
 
     if best_score > tol:
-        eta = _dual_newton_separable(A, rho, alpha, w, cert.eta)
+        eta = _dual_newton_separable(A, rho, alpha, cert.eta)
         u = np.maximum(A.T @ eta, 0.0)
-        x_dual = project_to_polytope(A, rho, (u / w) ** (1.0 / alpha))
-        cert_dual = _certificate_plain(space, x_dual, alpha, w)
+        x_dual = project_to_polytope(A, rho, u ** (1.0 / alpha))
+        cert_dual = _certificate_plain(space, x_dual, alpha)
         feas_dual = float(np.max(np.abs(A @ x_dual - rho)))
         score = max(cert_dual.residual, feas_dual)
         if score < best_score:
@@ -369,9 +345,9 @@ def solve_optimum(
     return StatePoint(best_x, alpha), best_cert
 
 
-def _certificate_plain(space, x, alpha, w) -> KktCertificate:
+def _certificate_plain(space, x, alpha) -> KktCertificate:
     K = _config_rows(space)
-    xa = w * np.maximum(x, 0.0) ** alpha
+    xa = np.maximum(x, 0.0) ** alpha
     thr = DEFAULT_SUPPORT_EPS * max(float(np.max(x, initial=0.0)), 1.0)
     support = x > thr
     if np.any(support):
@@ -396,12 +372,12 @@ def kkt_certificate(
     recovers eta from per-type extremes of the class weight differentials
     and measures violations of the class-level law (class totals must
     match the best member score, and members below their class maximum
-    must carry no mass).  Assumes default objective weights.
+    must carry no mass).
     """
     x = np.maximum(state.x, 0.0)
     alpha = state.alpha
     if not aggregate:
-        return _certificate_plain(space, x, alpha, np.ones(space.num_configs))
+        return _certificate_plain(space, x, alpha)
 
     agg = _require_aggregates(space)
     sa = class_totals(space, x) ** alpha
@@ -456,10 +432,7 @@ def solve_aggregate_optimum(
     def grad(x):
         return (class_totals(space, x) ** alpha)[class_of]
 
-    x = _pg_minimize(
-        A, rho, _feasible_start(space, demand), alpha, np.ones(space.num_configs),
-        grad, phi, iters=max_iter,
-    )
+    x = _pg_minimize(A, rho, _feasible_start(space, demand), grad, phi, iters=max_iter)
 
     # Per-class terms use scalar pow (numpy's array ** rounds differently
     # on some inputs) and are subtracted one class after the other.
@@ -531,6 +504,8 @@ def _recover_aggregate_primal(space, A, rho, K, eta, alpha, fallback):
     rows = np.zeros((len(umax), space.num_configs))
     rows[np.nonzero(sel)[0], space.aggregates.member_table[on][sel]] = 1.0
     allowed = rows.any(axis=0)
+    if not allowed.any():  # no class has a positive score at eta
+        return project_to_polytope(A, rho, fallback)
     C = np.vstack([A, rows])[:, allowed]
     d = np.concatenate([rho, [v ** (1.0 / alpha) for v in umax.tolist()]])
     try:

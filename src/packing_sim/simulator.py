@@ -207,14 +207,14 @@ def place_greedy_i(state: SystemState, i: int) -> int:
     return best_e
 
 
-def place_greedy_ac(state: SystemState, i: int, rng, mode: str = "D") -> tuple[int, int]:
+def place_greedy_ac(state: SystemState, i: int, rng) -> tuple[int, int]:
     """Class-level greedy placement.
 
-    Scores candidate aggregate classes on class totals (mode "D": weight
-    differential; mode "I": objective increment), then draws the concrete
-    base server uniformly within the winning class, weighted by counts of
-    members that can accept the type.  Returns (class id, edge index);
-    class id 0 means a previously empty server.
+    Scores candidate aggregate classes by their weight differential on
+    class totals, then draws the concrete base server uniformly within
+    the winning class, weighted by counts of members that can accept the
+    type.  Returns (class id, edge index); class id 0 means a previously
+    empty server.
     """
     space = state.space
     agg = space.aggregates
@@ -223,7 +223,6 @@ def place_greedy_ac(state: SystemState, i: int, rng, mode: str = "D") -> tuple[i
     S = state.class_counts
     X = state.counts
     a = state.alpha
-    p = 1.0 + a
     best = math.inf
     best_q = -1
     for q in range(agg.num_classes + 1):
@@ -238,16 +237,9 @@ def place_greedy_ac(state: SystemState, i: int, rng, mode: str = "D") -> tuple[i
                     break
             else:
                 continue
-        st = S[tq]
-        if mode == "D":
-            score = st ** a
-            if q:
-                score -= S[q] ** a
-        else:
-            score = (st + 1) ** p - st ** p
-            if q:
-                score += (S[q] - 1) ** p - S[q] ** p
-            score /= p
+        score = S[tq] ** a
+        if q:
+            score -= S[q] ** a
         if score < best:
             best = score
             best_q = q

@@ -227,3 +227,22 @@ class TestSolverFailure:
         assert report["optimum"]["aggregate_objective"] is None
         assert "solve_aggregate_optimum" in report["optimum"]["errors"]
         assert "decreasing=None" in capsys.readouterr().out
+
+    def test_simulate_keeps_aggregate_gap_when_plain_solver_fails(self, tmp_path, capsys):
+        import numpy as np
+
+        # On this instance solve_optimum stalls (certificate 4.1e-5) while
+        # solve_aggregate_optimum converges.
+        rng = np.random.default_rng(5)
+        cfg = write_config(
+            tmp_path,
+            space={"B": [1.0, 1.0], "b": [[0.3, 0.1], [0.1, 0.3], [0.2, 0.2], [0.45, 0.05]]},
+            arrival=rng.uniform(0.2, 3.0, 4).tolist(),
+            service=rng.uniform(0.2, 3.0, 4).tolist(),
+            alpha=0.25, discipline="greedy-d-ac", r=10,
+            horizon=2.0, burn_in=0.5, sample_interval=0.1, seed=1,
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        summary = read_json(capsys)
+        assert "l2_to_target" not in summary
+        assert "aggregate_objective_gap" in summary

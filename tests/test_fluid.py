@@ -65,6 +65,41 @@ class TestRateAllocation:
         assert np.allclose(alloc.gamma, neutral_allocation(space, st, demand).gamma)
 
 
+class TestSharedRule:
+    """One integrate step is x + dt * M (gamma - gamma_neutral), where M
+    adds an edge's flow to its target and takes it from its base."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("which", ["b3", "48"])
+    def test_step_follows_greedy_rate_allocation(self, which, alpha):
+        if which == "b3":
+            space = enumerate_configs(ResourceProfile((3.0,), ((1.0,), (2.0,))))
+            demand = Demand(np.array([0.5, 0.25]), np.array([1.0, 1.0]))
+        else:
+            space = enumerate_configs(ResourceProfile(
+                (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05))))
+            demand = Demand(np.array([0.7, 1.9, 0.4, 1.3]), np.array([1.1, 0.6, 2.2, 0.9]))
+        M = np.zeros((space.num_configs, space.num_edges))
+        for e in range(space.num_edges):
+            M[space.edge_target[e], e] += 1.0
+            if space.edge_base[e] >= 0:
+                M[space.edge_base[e], e] -= 1.0
+        x0 = np.zeros(space.num_configs)
+        x0[list(space.unit_index)] = demand.rho
+        dt = 1e-3
+        path = integrate(space, x0, demand, alpha, horizon=0.05, dt=dt).states
+        moved = 0
+        for x, nxt in zip(path, path[1:]):
+            st = StatePoint(x, alpha)
+            net = (greedy_rate_allocation(space, st, demand).gamma
+                   - neutral_allocation(space, st, demand).gamma)
+            expected = x + dt * (M @ net)
+            assert np.min(expected) >= 0.0  # no coordinate clips
+            assert np.max(np.abs(nxt - expected)) <= 1e-12
+            moved += bool(np.any(net != 0.0))
+        assert moved  # the path is not a fixed point
+
+
 class TestIntegrate:
     def test_fixed_point_stays_put(self, k12):
         space, demand = k12

@@ -10,7 +10,9 @@ from packing_sim.config_space import (
 from packing_sim.optimizer import (
     Allocation,
     Demand,
+    NonconvergenceError,
     StatePoint,
+    _recover_aggregate_primal,
     aggregate_objective,
     class_totals,
     constraint_matrix,
@@ -104,15 +106,6 @@ class TestObjective:
         val = aggregate_objective(space, StatePoint(x, 1.0))
         assert np.isclose(val, np.sum(s[1:] ** 2) / 2.0)
 
-    def test_weights_hook(self):
-        st_pt = StatePoint(np.array([0.2, 0.4]), 1.0)
-        w = objective(st_pt, weights=np.array([1.0, 2.0]))
-        assert w > objective(st_pt)
-        space, _ = b3_instance()
-        with pytest.raises(NotImplementedError):
-            aggregate_objective(space, StatePoint(np.ones(5) * 0.1, 1.0),
-                                weights=np.ones(5))
-
 
 class TestSolveOptimum:
     def test_two_config_closed_form(self):
@@ -178,6 +171,27 @@ class TestAggregateSolve:
         agg, value = solve_aggregate_optimum(space, d, 1.0)
         assert np.max(np.abs(plain.x - agg.x)) < 1e-6
         assert np.isclose(value, objective(plain), atol=1e-9)
+
+    def test_recovery_without_positive_class_projects_fallback(self):
+        space, demand = b3_instance()
+        A = constraint_matrix(space)
+        fallback = np.full(space.num_configs, 0.1)
+        eta = -np.ones(space.num_types)  # every class score is negative
+        x = _recover_aggregate_primal(space, A, demand.rho, A.T, eta, 2.0, fallback)
+        assert np.array_equal(x, project_to_polytope(A, demand.rho, fallback))
+
+    def test_dual_iterate_with_no_positive_class_is_a_failed_solve(self):
+        # The 14th U(.2, 3) demand draw of default_rng(3005) on the
+        # 428-config space at alpha 2: the dual ascent ends where no class
+        # scores positive, and the solve must fail with its best state.
+        space = enumerate_configs(ResourceProfile(
+            (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03))))
+        rng = np.random.default_rng(3005)
+        for _ in range(14):
+            demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+        with pytest.raises(NonconvergenceError, match="aggregate solver gap") as info:
+            solve_aggregate_optimum(space, demand, 2.0)
+        assert feasibility_gap(space, info.value.state, demand) <= 1e-9
 
 
 class TestDrift:
