@@ -171,13 +171,6 @@ class ConfigSpace:
     def num_edges(self) -> int:
         return len(self.edge_type)
 
-    @property
-    def edge_pairs(self) -> tuple[tuple[Configuration, int], ...]:
-        """Edges in (configuration, type) form, matching edge indexes."""
-        return tuple(
-            (self.configs[t], i) for i, t in zip(self.edge_type, self.edge_target)
-        )
-
     def config_index(self, config: Sequence[int]) -> int:
         """Index of a nonzero configuration; -1 for the zero configuration."""
         key = tuple(int(v) for v in config)

@@ -14,7 +14,7 @@ whose unique minimizer over X is the target profile of the greedy
 placement disciplines.  With aggregate classes the objective sums class
 totals instead (Phi).  This module provides:
 
-* exact Euclidean projection onto X (active-set quadratic subproblem),
+* exact Euclidean projection onto X (exact solve on the optimal face),
 * solvers for the F- and Phi-minima with a posteriori optimality
   certificates (multipliers eta with x_k^alpha = max(k . eta, 0)),
 * per-edge weight differentials, allocations of placement rates, their
@@ -124,60 +124,121 @@ def feasibility_gap(space: ConfigSpace, state: StatePoint, demand: Demand) -> fl
     return max(gap, neg)
 
 
-def project_to_polytope(
-    A: np.ndarray,
-    b: np.ndarray,
-    z: np.ndarray,
-    max_iter: Optional[int] = None,
-) -> np.ndarray:
+def project_to_polytope(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection of z onto {x >= 0, A x = b}.
 
-    Primal active-set iteration: solve the equality-constrained projection
-    on the currently free coordinates, pin the most negative coordinate,
-    release pinned coordinates with negative bound multipliers, repeat.
+    Solves the equality-constrained projection on the face {z > 0}, then on
+    all coordinates.  When neither is optimal, dual Newton (alpha 1, shift
+    z) finds the free set {z + A^T nu > 0}, and the projection is solved
+    exactly on that face.
     """
-    m, n = A.shape
     z = np.asarray(z, dtype=float)
-    active = np.zeros(n, dtype=bool)
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(z))))
-    if max_iter is None:
-        max_iter = 6 * n + 30
+    for free in (z > 0, np.ones(len(z), dtype=bool)):
+        x, nu = _face_projection(A, b, z, free, scale)
+        if x is not None:
+            return x
+    # Newton starts from the multipliers of the projection onto A x = b.
+    nu, _ = _dual_newton(A.T, b, 1.0, nu, z=z)
+    v = z + A.T @ nu
+    x, _ = _face_projection(A, b, z, v > 0, scale)
+    if x is None:
+        x = np.maximum(v, 0.0)
+        if float(np.max(np.abs(A @ x - b))) > 1e-8 * scale:
+            raise NonconvergenceError("projection dual Newton did not converge")
+    return x
 
-    nu = np.zeros(m)
-    for _ in range(max_iter):
-        free = ~active
-        AF = A[:, free]
-        G = AF @ AF.T
-        rhs = b - AF @ z[free]
-        try:
-            nu = np.linalg.solve(G, rhs)
-        except np.linalg.LinAlgError:
-            nu = np.linalg.lstsq(G, rhs, rcond=None)[0]
-        xf = z[free] + AF.T @ nu
-        if np.max(np.abs(AF @ xf - b)) > 1e-8 * scale:
-            # Equality system inconsistent on this face: release the pinned
-            # coordinate that best helps feasibility.
-            if not np.any(active):
-                raise NonconvergenceError("projection target polytope looks empty")
-            resid = b - AF @ xf
-            scores = A[:, active].T @ resid
-            idx = np.flatnonzero(active)[int(np.argmax(np.abs(scores)))]
-            active[idx] = False
-            continue
-        jmin = int(np.argmin(xf)) if len(xf) else -1
-        if jmin >= 0 and xf[jmin] < -1e-12 * scale:
-            active[np.flatnonzero(free)[jmin]] = True
-            continue
-        if np.any(active):
-            kappa = -(z[active] + A[:, active].T @ nu)
-            kmin = int(np.argmin(kappa))
-            if kappa[kmin] < -1e-10 * scale:
-                active[np.flatnonzero(active)[kmin]] = False
-                continue
-        x = np.zeros(n)
-        x[free] = np.maximum(xf, 0.0)
-        return x
-    raise NonconvergenceError("projection active-set iteration did not settle")
+
+def _face_projection(A, b, z, free, scale):
+    """The projection of z if its free coordinates are ``free``, else None,
+    and the multipliers nu of the equality-constrained projection."""
+    AF = A[:, free]
+    zf = z[free]
+    G = AF @ AF.T
+    rhs = b - AF @ zf
+    try:
+        nu = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        nu = np.linalg.lstsq(G, rhs, rcond=None)[0]
+    xf = zf + nu @ AF
+    if np.abs(AF @ xf - b).max() > 1e-8 * scale:
+        return None, nu  # the equality system is inconsistent on this face
+    if len(xf) and xf.min() < -1e-12 * scale:
+        return None, nu
+    pinned = ~free
+    if pinned.any() and (z[pinned] + nu @ A[:, pinned]).max() > 1e-10 * scale:
+        return None, nu  # a pinned coordinate has a negative bound multiplier
+    x = np.zeros(len(z))
+    x[free] = np.maximum(xf, 0.0)
+    return x, nu
+
+
+def _dual_newton(K, b, alpha, eta0, z=None, member_table=None, target=np.inf):
+    """Semismooth Newton ascent on the concave dual shared by every solver here,
+
+        g(eta) = b.eta - a/(1+a) * sum_q max(0, max_{k in q} z_k + k.eta)^((1+a)/a),
+
+    over the classes q of ``member_table`` (one per configuration when None)
+    with shift z (zero when None).  Its gradient is b - A x(eta), where x
+    puts u_q^(1/a), u_q = max(0, max_{k in q} z_k + k.eta), on the first
+    maximal member of class q.  Each step solves (H + lam (1 + tr H)/m) d =
+    grad with Armijo backtracking on g; lam starts at 1e-14, grows by 1e3
+    when backtracking fails above t = 1e-6 and shrinks by 1e3 after a full
+    step.  Stops at |A x - b| <= 1e-12 scale, at g >= target, or when no
+    regularization yields ascent.  Returns eta and g(eta).
+    """
+    n, m = K.shape
+    inv = 1.0 / alpha
+    shift = np.zeros(n) if z is None else z
+    table = np.arange(n)[:, None] if member_table is None else member_table
+    rows = np.arange(len(table))
+    scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(shift))))
+
+    def at(eta):
+        v = np.append(shift + K @ eta, -np.inf)[table]
+        j = v.argmax(axis=1)  # the first maximal member breaks ties
+        u = np.maximum(v[rows, j], 0.0)
+        g = float(b @ eta) - alpha / (1.0 + alpha) * float(np.sum(u ** (1.0 + inv)))
+        return u, table[rows, j], g
+
+    eta = np.array(eta0, dtype=float)
+    u, best, g = at(eta)
+    lam = 1e-14
+    for _ in range(200):
+        on = u > 0
+        kb = K[best[on]]
+        grad = b - kb.T @ u[on] ** inv
+        if float(np.max(np.abs(grad))) <= 1e-12 * scale or g >= target:
+            break
+        # Guard the exploding derivative near the kink for alpha > 1.
+        kb *= np.sqrt(np.minimum(inv * u[on] ** (inv - 1.0), 1e12))[:, None]
+        H = kb.T @ kb
+        diag = H.diagonal().copy()
+        reg = (1.0 + diag.sum()) / m
+        # Rounding slack of the Armijo test, at the size of g's two terms.
+        lin = float(b @ eta)
+        slack = 1e-15 * (abs(lin) + abs(lin - g))
+        t = 0.0
+        while t == 0.0 and lam < 1e10:
+            H.flat[:: m + 1] = diag + lam * reg
+            d = np.linalg.solve(H, grad)
+            slope = float(grad @ d)
+            t = 1.0
+            while t >= 1e-6:
+                cand = eta + t * d
+                uc, bc, gc = at(cand)
+                if gc >= g + 1e-4 * t * slope - slack:
+                    break
+                t *= 0.5
+            else:
+                t = 0.0
+                lam *= 1e3
+        if t == 0.0:
+            break
+        if t == 1.0:
+            lam = max(lam / 1e3, 1e-14)
+        eta, u, best, g = cand, uc, bc, gc
+    return eta, g
 
 
 def objective(state: StatePoint) -> float:
@@ -208,14 +269,7 @@ def _config_rows(space: ConfigSpace) -> np.ndarray:
     return constraint_matrix(space).T
 
 
-def _feasible_start(space: ConfigSpace, demand: Demand) -> np.ndarray:
-    x = np.zeros(space.num_configs)
-    for i, t in enumerate(space.unit_index):
-        x[t] += demand.rho[i]
-    return x
-
-
-def _pg_minimize(A, rho, x0, grad, value, iters=250):
+def _pg_minimize(A, rho, x0, grad, value, iters=400):
     """Projected gradient with backtracking and Barzilai-Borwein steps."""
     x = project_to_polytope(A, rho, x0)
     g = grad(x)
@@ -244,105 +298,49 @@ def _pg_minimize(A, rho, x0, grad, value, iters=250):
     return x
 
 
-def _dual_newton_separable(A, rho, alpha, eta0, iters=80):
-    """Solve A x(eta) = rho with x_k(eta) = max(k.eta,0)^(1/alpha).
-
-    Damped semismooth Newton on the concave dual; returns the best eta
-    found.  One exact step when alpha == 1.
-    """
-    K = A.T
-    inv_alpha = 1.0 / alpha
-
-    def primal(eta):
-        return np.maximum(K @ eta, 0.0) ** inv_alpha
-
-    def h(eta):
-        return A @ primal(eta) - rho
-
-    eta = np.asarray(eta0, dtype=float).copy()
-    best_eta, best_norm = eta.copy(), float(np.max(np.abs(h(eta))))
-    for _ in range(iters):
-        u = K @ eta
-        mask = u > 0
-        r = h(eta)
-        norm = float(np.max(np.abs(r)))
-        if norm < best_norm:
-            best_eta, best_norm = eta.copy(), norm
-        if norm <= 1e-14:
-            break
-        dxdu = np.zeros(len(u))
-        dxdu[mask] = inv_alpha * u[mask] ** (inv_alpha - 1.0)
-        # Guard the exploding derivative near the kink for alpha > 1.
-        np.clip(dxdu, 0.0, 1e12, out=dxdu)
-        J = (K.T * dxdu) @ K
-        J += np.eye(len(rho)) * (1e-12 * (1.0 + np.trace(J)))
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        t = 1.0
-        base = float(r @ r)
-        improved = False
-        while t > 1e-12:
-            cand = eta + t * step
-            rc = h(cand)
-            if float(rc @ rc) <= base * (1.0 - 1e-4 * t) + 1e-300:
-                eta = cand
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return best_eta
-
-
 def solve_optimum(
     space: ConfigSpace,
     demand: Demand,
     alpha: float,
     tol: float = 1e-9,
-    max_iter: int = 250,
 ) -> tuple[StatePoint, KktCertificate]:
     """Minimize F over the feasible polytope.
 
-    Projected gradient with exact projection, then a dual Newton polish;
-    the returned certificate is re-derived from the final point and must
-    satisfy max(optimality residual, feasibility gap) <= tol, otherwise
-    ``NonconvergenceError`` carries the best candidate.
+    Dual Newton gives x = max(K eta, 0)^(1/alpha), which is projected onto
+    the polytope unless the ascent met |A x - rho| <= 1e-12 (a projection
+    moves tiny coordinates by as much as large ones, which costs their
+    x^alpha its precision when alpha < 1).  The returned certificate is
+    re-derived from x and must satisfy max(optimality residual,
+    feasibility gap) <= tol, otherwise ``NonconvergenceError`` carries it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     A = constraint_matrix(space)
     rho = demand.rho
-
-    def grad(x):
-        return np.maximum(x, 0.0) ** alpha
-
-    def value(x):
-        return float(np.sum(np.maximum(x, 0.0) ** (1.0 + alpha)) / (1.0 + alpha))
-
-    x = _pg_minimize(A, rho, _feasible_start(space, demand), grad, value, iters=max_iter)
+    x = _plain_primal(A, rho, alpha)
+    if float(np.max(np.abs(A @ x - rho))) > 1e-12:
+        x = project_to_polytope(A, rho, x)
     cert = _certificate_plain(space, x, alpha)
-    feas = float(np.max(np.abs(A @ x - rho)))
-    best_x, best_cert, best_score = x, cert, max(cert.residual, feas)
-
-    if best_score > tol:
-        eta = _dual_newton_separable(A, rho, alpha, cert.eta)
-        u = np.maximum(A.T @ eta, 0.0)
-        x_dual = project_to_polytope(A, rho, u ** (1.0 / alpha))
-        cert_dual = _certificate_plain(space, x_dual, alpha)
-        feas_dual = float(np.max(np.abs(A @ x_dual - rho)))
-        score = max(cert_dual.residual, feas_dual)
-        if score < best_score:
-            best_x, best_cert, best_score = x_dual, cert_dual, score
-
-    if best_score > tol:
+    score = max(cert.residual, float(np.max(np.abs(A @ x - rho))))
+    if score > tol:
         raise NonconvergenceError(
-            f"optimum solver stalled at certificate score {best_score:.3e} (tol {tol:.1e})",
-            state=StatePoint(best_x, alpha),
-            certificate=best_cert,
+            f"optimum solver stalled at certificate score {score:.3e} (tol {tol:.1e})",
+            state=StatePoint(x, alpha),
+            certificate=cert,
         )
-    return StatePoint(best_x, alpha), best_cert
+    return StatePoint(x, alpha), cert
+
+
+def _plain_primal(A, rho, alpha):
+    """x = max(K eta, 0)^(1/alpha) at the dual Newton point of F.
+
+    The start eta = (max rho / n)^alpha puts little mass on every
+    configuration; from above, the first Newton steps of alpha > 1 leave
+    every configuration off and the ascent creeps back.
+    """
+    eta0 = np.full(len(rho), (float(np.max(rho)) / A.shape[1]) ** alpha)
+    eta, _ = _dual_newton(A.T, rho, alpha, eta0)
+    return np.maximum(A.T @ eta, 0.0) ** (1.0 / alpha)
 
 
 def _certificate_plain(space, x, alpha) -> KktCertificate:
@@ -407,11 +405,11 @@ def solve_aggregate_optimum(
     demand: Demand,
     alpha: float,
     tol: float = 1e-7,
-    max_iter: int = 400,
 ) -> tuple[StatePoint, float]:
     """Minimize the class-total objective Phi over the feasible polytope.
 
-    Projected gradient phase, then ascent on the closed-form concave dual
+    Projected gradient from F's dual Newton point, then dual Newton on the
+    class form of the concave dual
 
         g(eta) = rho . eta - a/(1+a) * sum_q max(0, max_{k in q} k.eta)^((1+a)/a),
 
@@ -432,56 +430,13 @@ def solve_aggregate_optimum(
     def grad(x):
         return (class_totals(space, x) ** alpha)[class_of]
 
-    x = _pg_minimize(A, rho, _feasible_start(space, demand), grad, phi, iters=max_iter)
-
-    # Per-class terms use scalar pow (numpy's array ** rounds differently
-    # on some inputs) and are subtracted one class after the other.
-    def dual_value(eta):
-        u = np.maximum(_class_rows(space, K @ eta, -np.inf).max(axis=1), 0.0)
-        terms = [alpha / (1.0 + alpha) * v ** ((1.0 + alpha) / alpha) for v in u.tolist()]
-        return float(np.subtract.reduce([float(rho @ eta)] + terms))
-
-    def dual_grad_hess(eta):
-        ke = _class_rows(space, K @ eta, -np.inf)
-        # The first maximal member is the lexicographically smallest one.
-        best = agg.member_table[np.arange(len(ke)), ke.argmax(axis=1)]
-        u = ke.max(axis=1)
-        kb = K[best[u > 0]]
-        u = u[u > 0].tolist()
-        a = np.array([v ** (1.0 / alpha) for v in u]).reshape(-1, 1)
-        c = np.array([(1.0 / alpha) * min(v ** (1.0 / alpha - 1.0), 1e12) for v in u])
-        g = np.subtract.reduce(np.vstack([rho, a * kb]))
-        outer = kb[:, :, None] * kb[:, None, :]
-        zero = np.zeros((1, len(rho), len(rho)))
-        H = np.subtract.reduce(np.concatenate([zero, c[:, None, None] * outer]))
-        return g, H
-
-    eta = kkt_certificate(space, StatePoint(x, alpha), demand, aggregate=True).eta.copy()
-    gval = dual_value(eta)
-    for _ in range(120):
-        g, H = dual_grad_hess(eta)
-        if float(np.max(np.abs(g))) <= 1e-14:
-            break
-        M = -H + np.eye(space.num_types) * (1e-12 * (1.0 + abs(np.trace(H))))
-        try:
-            step = np.linalg.solve(M, g)
-        except np.linalg.LinAlgError:
-            step = g
-        t = 1.0
-        moved = False
-        while t > 1e-13:
-            cand = eta + t * step
-            cval = dual_value(cand)
-            if cval > gval + 1e-18:
-                eta, gval, moved = cand, cval, True
-                break
-            t *= 0.5
-        if not moved:
-            break
+    x = _pg_minimize(A, rho, _plain_primal(A, rho, alpha), grad, phi)
+    eta = kkt_certificate(space, StatePoint(x, alpha), demand, aggregate=True).eta
+    eta, gval = _dual_newton(K, rho, alpha, eta, member_table=agg.member_table,
+                             target=phi(x) - 1e-3 * tol)
 
     x_rec = _recover_aggregate_primal(space, A, rho, K, eta, alpha, x)
-    val_rec = phi(x_rec)
-    if val_rec < phi(x):
+    if phi(x_rec) < phi(x):
         x = x_rec
     value = phi(x)
     gap = value - gval

@@ -2,10 +2,11 @@
 
 A differential oracle for ``packing_sim.optimizer``: the functions below
 are the class-level code as it was when every per-class quantity was a
-Python loop over ``AggregateInfo.members``.  The current solver must
-return byte-identical states and values, and raise the same errors with
-the same messages.  Do not edit this file to follow changes of the
-optimizer; it is the reference.
+Python loop over ``AggregateInfo.members``, with the active-set
+projection of that time.  The class functions must agree with it byte
+for byte; the current solvers must solve whatever it solves, no worse
+(see ``test_optimizer_oracle``).  Do not edit this file to follow
+changes of the optimizer; it is the reference.
 """
 
 from __future__ import annotations

@@ -208,9 +208,21 @@ class TestPlumbing:
 
 
 class TestSolverFailure:
-    def test_check_exits_two_when_aggregate_solver_fails(self, tmp_path, capsys):
+    """A solver that does not converge, forced by replacing it in the harness."""
+
+    @staticmethod
+    def stall(monkeypatch, name):
+        from packing_sim.optimizer import NonconvergenceError
+
+        def stalled(space, demand, alpha):
+            raise NonconvergenceError(f"{name} stalled")
+
+        monkeypatch.setattr(f"packing_sim.harness.{name}", stalled)
+
+    def test_check_exits_two_when_aggregate_solver_fails(self, tmp_path, capsys, monkeypatch):
         import numpy as np
 
+        self.stall(monkeypatch, "solve_aggregate_optimum")
         rng = np.random.default_rng(3)
         cfg = write_config(
             tmp_path,
@@ -228,11 +240,11 @@ class TestSolverFailure:
         assert "solve_aggregate_optimum" in report["optimum"]["errors"]
         assert "decreasing=None" in capsys.readouterr().out
 
-    def test_simulate_keeps_aggregate_gap_when_plain_solver_fails(self, tmp_path, capsys):
+    def test_simulate_keeps_aggregate_gap_when_plain_solver_fails(self, tmp_path, capsys,
+                                                                  monkeypatch):
         import numpy as np
 
-        # On this instance solve_optimum stalls (certificate 4.1e-5) while
-        # solve_aggregate_optimum converges.
+        self.stall(monkeypatch, "solve_optimum")
         rng = np.random.default_rng(5)
         cfg = write_config(
             tmp_path,

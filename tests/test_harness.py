@@ -16,7 +16,7 @@ from packing_sim.harness import (
     run_experiment,
     stationarity_estimate,
 )
-from packing_sim.optimizer import Demand
+from packing_sim.optimizer import Demand, NonconvergenceError
 from packing_sim.simulator import SimConfig
 
 
@@ -237,9 +237,14 @@ class TestSolverFailure:
     exactly the cells whose metrics need that optimum."""
 
     @staticmethod
-    def p48_gap_failure():
-        # The aggregate solver stops at duality gap 2.955e-06 here; the
-        # plain solver converges.
+    def p48_gap_failure(monkeypatch):
+        """A 48-config instance whose aggregate solve is made to fail; the
+        plain solver converges."""
+        def stalled(space, demand, alpha):
+            raise NonconvergenceError("aggregate solver gap 2.955e-06, feasibility "
+                                      "1.110e-16 exceed tol 1.0e-07")
+
+        monkeypatch.setattr("packing_sim.harness.solve_aggregate_optimum", stalled)
         rng = np.random.default_rng(3)
         demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
         profile = ResourceProfile((1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))
@@ -247,8 +252,8 @@ class TestSolverFailure:
                            discipline="greedy-d-ac", r=10, horizon=2.0, burn_in=0.5,
                            sample_interval=0.1)
 
-    def test_aggregate_failure_fails_gap_cells(self):
-        exp = Experiment(base=self.p48_gap_failure(), r_grid=[10, 20],
+    def test_aggregate_failure_fails_gap_cells(self, monkeypatch):
+        exp = Experiment(base=self.p48_gap_failure(monkeypatch), r_grid=[10, 20],
                          metrics=["aggregate_objective_gap", "y_conservation"])
         report = run_experiment(exp)
         optimum = report["optimum"]
@@ -263,8 +268,8 @@ class TestSolverFailure:
             assert cell["stats"]["aggregate_objective_gap"] is None
         assert report["verdicts"]["aggregate_objective_gap"]["decreasing"] is None
 
-    def test_cells_without_that_metric_still_run(self):
-        exp = Experiment(base=self.p48_gap_failure(), r_grid=[10, 20],
+    def test_cells_without_that_metric_still_run(self, monkeypatch):
+        exp = Experiment(base=self.p48_gap_failure(monkeypatch), r_grid=[10, 20],
                          metrics=["l2_to_optimum"])
         report = run_experiment(exp)
         assert "solve_aggregate_optimum" in report["optimum"]["errors"]

@@ -77,20 +77,31 @@ class TestProjection:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_projection_optimality(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, min(3, n) + 1))
-        A = rng.uniform(0.0, 2.0, size=(m, n))
-        xf = rng.uniform(0.0, 1.0, size=n)  # guarantees feasibility
-        b = A @ xf
-        z = rng.uniform(-1.0, 1.0, size=n)
-        x = project_to_polytope(A, b, z)
-        assert np.min(x) >= -1e-12
-        assert np.max(np.abs(A @ x - b)) < 1e-8
-        # no feasible perturbation may be closer than the projection
-        for _ in range(20):
-            y = project_to_polytope(A, b, x + rng.normal(scale=0.1, size=n))
-            assert np.dot(x - z, x - z) <= np.dot(y - z, y - z) + 1e-9
+        check_projection(seed)
+
+    # Seeds on which the former active-set projection cycled (331078322)
+    # or the dual Newton projection alone was 1e-8 off in x (760: A is
+    # 2x2, so the polytope is a single point).
+    @pytest.mark.parametrize("seed", [331078322, 760])
+    def test_projection_optimality_regressions(self, seed):
+        check_projection(seed)
+
+
+def check_projection(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, min(3, n) + 1))
+    A = rng.uniform(0.0, 2.0, size=(m, n))
+    xf = rng.uniform(0.0, 1.0, size=n)  # guarantees feasibility
+    b = A @ xf
+    z = rng.uniform(-1.0, 1.0, size=n)
+    x = project_to_polytope(A, b, z)
+    assert np.min(x) >= -1e-12
+    assert np.max(np.abs(A @ x - b)) < 1e-8
+    # no feasible perturbation may be closer than the projection
+    for _ in range(20):
+        y = project_to_polytope(A, b, x + rng.normal(scale=0.1, size=n))
+        assert np.dot(x - z, x - z) <= np.dot(y - z, y - z) + 1e-9
 
 
 class TestObjective:
@@ -180,18 +191,35 @@ class TestAggregateSolve:
         x = _recover_aggregate_primal(space, A, demand.rho, A.T, eta, 2.0, fallback)
         assert np.array_equal(x, project_to_polytope(A, demand.rho, fallback))
 
-    def test_dual_iterate_with_no_positive_class_is_a_failed_solve(self):
+    def test_former_no_positive_class_instance_solves(self):
         # The 14th U(.2, 3) demand draw of default_rng(3005) on the
-        # 428-config space at alpha 2: the dual ascent ends where no class
-        # scores positive, and the solve must fail with its best state.
+        # 428-config space at alpha 2, where the former dual ascent ended
+        # with no class scoring positive and the solve failed.
         space = enumerate_configs(ResourceProfile(
             (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03))))
         rng = np.random.default_rng(3005)
         for _ in range(14):
             demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
-        with pytest.raises(NonconvergenceError, match="aggregate solver gap") as info:
-            solve_aggregate_optimum(space, demand, 2.0)
-        assert feasibility_gap(space, info.value.state, demand) <= 1e-9
+        state, value = solve_aggregate_optimum(space, demand, 2.0)
+        assert feasibility_gap(space, state, demand) <= 1e-7
+        assert value == aggregate_objective(space, state)
+
+
+# The 48-config U(.2, 3) demand draws on which the former active-set
+# projection cycled, so that both solvers raised without a state.
+@pytest.mark.parametrize("seed,alpha", [(3, 2.0), (3, 4.0), (5, 4.0)])
+@pytest.mark.parametrize("solver", [solve_optimum, solve_aggregate_optimum])
+def test_solvers_fail_only_with_a_state(solver, seed, alpha):
+    space = enumerate_configs(ResourceProfile(
+        (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05))))
+    rng = np.random.default_rng(seed)
+    demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+    try:
+        state = solver(space, demand, alpha)[0]
+    except NonconvergenceError as exc:
+        state = exc.state
+    assert state is not None
+    assert feasibility_gap(space, state, demand) <= 1e-7
 
 
 class TestDrift:
