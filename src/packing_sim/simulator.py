@@ -28,8 +28,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from operator import mul, sub
+from itertools import compress, count, repeat
+from operator import mul, truediv
 from typing import Optional
 
 import numpy as np
@@ -440,7 +440,7 @@ class Simulation:
 
         if self._tokens:
             self._build_complete(config.max_complete_configs)
-            leaves = I + len(self.cc_list)
+            leaves = I + len(self.Xc)
         else:
             leaves = I + E
         self._size = size = _tree_size(leaves)
@@ -515,54 +515,68 @@ class Simulation:
             self._bump(b, -delta, push)
 
     def _build_complete(self, cap: int):
-        """Complete server states: (config, held actual customers).
+        """Complete server states: (config k, held actual customers h <= k).
 
-        ``cc_list[c]`` is (config index, held-config index or -1), and the
-        states of config k are c in range(_cc_first[k], _cc_first[k + 1]).
-        One server in state c leaves at rate ``_cc_rate[c]``: held_i mu_i
-        per type for actual departures plus free_i mu0 for token expiries,
-        free_i = ``_cc_free[c * I + i]`` being its type-i tokens.
+        State c = _cc_first[k] + sum_i h_i _cc_stride[k * I + i], the h of a
+        config in lexicographic order: one more type-i customer is c + stride.
+        Flat tables indexed c * I + i hold h_i (``_cc_held``), the k_i - h_i
+        tokens (``_cc_free``), and the state with the same h in config k + e_i
+        or k - e_i (``_cc_up``, ``_cc_down``; -1 when that config is empty,
+        absent or cannot hold h).  ``_cc_config[c]`` is k; a server in state c
+        leaves at rate ``_cc_rate[c]``: held_i mu_i per type for actual
+        departures plus free_i mu0 for token expiries.
         """
         space = self.space
-        index = space.index
-        mu = self._mu
+        K = np.array(space.configs, dtype=np.intc)
+        radix = K + 1
+        sizes = radix.prod(axis=1, dtype=float)
+        if sizes.sum() > cap:  # summed in floats, which do not wrap around
+            raise ConfigSpaceError(f"token bookkeeping needs more than {cap} server states")
+        sizes = sizes.astype(np.intc)
+        first = np.append(0, sizes).cumsum(dtype=np.intc)
+        S = int(first[-1])
+        stride = sizes[:, None] // radix.cumprod(axis=1, dtype=np.intc)
+        config_of = np.repeat(np.arange(len(K), dtype=np.intc), sizes)
+        local = (np.arange(S, dtype=np.intc) - first[config_of])[:, None]
+        place = stride[config_of]
+        held = local // place % radix[config_of]
+        free = K[config_of] - held
+        # In k +- e_i digit i counts one value more or less, so every higher
+        # digit's place value moves by its count times stride_i.
+        shift = local // (place * radix[config_of]) * place
+
+        def same_held(near, offset):
+            # None (no such config) reads as nan, which fmax turns into -1.
+            near = np.fmax(np.array(near, dtype=float), -1).astype(np.intc)[config_of]
+            return np.where(near >= 0, first[near] + offset, -1)
+
+        up = same_held(space.up_index, local + shift)
+        down = same_held(space.down_index, local - shift)
+        down[free == 0] = -1
         mu0 = float(self.config.token_rate)
-        cc_list = []
-        cc_index = {}
-        first = array("i", [0])
-        rate = array("d")
-        free = array("i")
-        for k_idx, k in enumerate(space.configs):
-            size = sum(k)
-            for held in product(*(range(v + 1) for v in k)):
-                key = (k_idx, index[held] if any(held) else -1)
-                cc_index[key] = len(cc_list)
-                cc_list.append(key)
-                rate.append(sum(map(mul, held, mu)) + (size - sum(held)) * mu0)
-                free.extend(map(sub, k, held))
-            if len(cc_list) > cap:
-                raise ConfigSpaceError(
-                    f"token bookkeeping needs more than {cap} server states"
-                )
-            first.append(len(cc_list))
-        self.cc_list = cc_list
-        self.cc_index = cc_index
-        self.Xc = [0] * len(cc_list)
-        self._cc_first = first
-        self._cc_rate = rate
-        self._cc_free = free
+        # Summed type by type, as a Python sum over held_i mu_i would.
+        rate = np.zeros(S)
+        for i, m in enumerate(self._mu):
+            rate += held[:, i] * m
+        rate += free.sum(axis=1) * mu0
+
+        def ints(a):
+            return array("i", a.astype(np.intc).tobytes())
+
+        self._cc_first = ints(first)
+        self._cc_stride = ints(stride)
+        self._cc_config = ints(config_of)
+        self._cc_held = ints(held)
+        self._cc_free = ints(free)
+        self._cc_up = ints(up)
+        self._cc_down = ints(down)
+        self._cc_rate = array("d", rate.tobytes())
         self._mu0 = mu0
-        self._zero = (0,) * space.num_types
+        self.Xc = [0] * S
         # One tree per type over the states, weighted by free_i * Xc[c]:
         # its total is Ytilde[i], and a draw picks a token uniformly.
-        self._rep_size = _tree_size(len(cc_list))
+        self._rep_size = _tree_size(S)
         self._rep_trees = [[0] * (2 * self._rep_size) for _ in range(space.num_types)]
-
-    def _held_plus(self, khat_idx: int, i: int) -> int:
-        """Held config after one more actual type-i customer."""
-        if khat_idx < 0:
-            return self.space.unit_index[i]
-        return self.space.up_index[khat_idx][i]
 
     def _cc_move(self, c_from: int, c_to: int):
         """Move one server between complete states, updating projections."""
@@ -577,7 +591,7 @@ class Simulation:
         """Add delta servers in state c and push its leaves."""
         x = self.Xc[c] + delta
         self.Xc[c] = x
-        k_idx = self.cc_list[c][0]
+        k_idx = self._cc_config[c]
         self.X[k_idx] += delta
         if self.S is not None:
             self.S[self._class_of[k_idx]] += delta
@@ -605,8 +619,9 @@ class Simulation:
             # Closed mode pushes the leaves after the re-placement.
             self._shift(e2, +1, push=not self._closed)
         elif b2 < 0:
-            khat = space.unit_index[i] if actual else -1
-            self._cc_move(-1, self.cc_index[(t2, khat)])
+            # A new server holding only a token, or only the customer.
+            c = self._cc_first[t2]
+            self._cc_move(-1, c + self._cc_stride[t2 * self._ntypes + i] if actual else c)
         else:
             # A server in config b2, drawn by its count, takes the customer.
             Xc = self.Xc
@@ -624,10 +639,10 @@ class Simulation:
                     if Xc[c] > 0:
                         chosen = c
                         break
-            khat_idx = self.cc_list[chosen][1]
+            nxt = self._cc_up[chosen * self._ntypes + i]
             if actual:
-                khat_idx = self._held_plus(khat_idx, i)
-            self._cc_move(chosen, self.cc_index[(t2, khat_idx)])
+                nxt += self._cc_stride[t2 * self._ntypes + i]
+            self._cc_move(chosen, nxt)
         return e2
 
     def _state_row(self, c: int, u: float) -> tuple:
@@ -639,32 +654,31 @@ class Simulation:
         past the last row (rounding) takes the last one.  The next state
         is -1 when the server empties.
         """
-        space = self.space
+        I = self._ntypes
         x = self.Xc[c]
-        k_idx, khat_idx = self.cc_list[c]
-        k = space.configs[k_idx]
-        held = space.configs[khat_idx] if khat_idx >= 0 else self._zero
+        held = self._cc_held
+        free = self._cc_free
         mu = self._mu
         acc = 0.0
-        for j in range(self._ntypes):
-            h = held[j]
+        j0 = c * I
+        for j in range(I):
+            h = held[j0 + j]
             if h:
                 acc += h * mu[j] * x
                 i, actual = j, True
                 if u < acc:
                     break
-            if k[j] > h:
-                acc += (k[j] - h) * self._mu0 * x
+            f = free[j0 + j]
+            if f:
+                acc += f * self._mu0 * x
                 i, actual = j, False
                 if u < acc:
                     break
-        k_down = space.down_index[k_idx][i]
-        if k_down < 0:
-            nxt = -1
-        else:
-            held_down = space.down_index[khat_idx][i] if actual else khat_idx
-            nxt = self.cc_index[(k_down, held_down)]
-        return i, actual, space.edge_by_target[i][k_idx], nxt
+        k_idx = self._cc_config[c]
+        if actual:
+            # The departure leaves the state that held one customer less.
+            c -= self._cc_stride[k_idx * I + i]
+        return i, actual, self.space.edge_by_target[i][k_idx], self._cc_down[c * I + i]
 
     # -- event drawing and application --------------------------------------
 
@@ -716,8 +730,8 @@ class Simulation:
                 c, _ = _tree_find(
                     self._rep_trees[i], self._rep_size, self.rng.random() * self.Ytilde[i]
                 )
-                k_idx, khat_idx = self.cc_list[c]
-                self._cc_move(c, self.cc_index[(k_idx, self._held_plus(khat_idx, i))])
+                k_idx = self._cc_config[c]
+                self._cc_move(c, c + self._cc_stride[k_idx * I + i])
                 self.rep_arr[self.space.edge_by_target[i][k_idx]] += 1
                 self.Ytilde[i] -= 1
             else:
@@ -768,23 +782,22 @@ class Simulation:
     # -- sampling ------------------------------------------------------------
 
     def snapshot(self, at: float) -> Snapshot:
-        r = self.r
-        x = {t: v / r for t, v in enumerate(self.X) if v}
+        X = self.X
         snap = Snapshot(
             t=at,
-            x=x,
+            x=dict(zip(compress(count(), X), map(truediv, filter(None, X), repeat(self.r)))),
             y=tuple(self.Y),
             yhat=tuple(self.Yhat),
             ytilde=tuple(self.Ytilde),
-            arrivals={e: v for e, v in enumerate(self.arrivals) if v},
-            departures={e: v for e, v in enumerate(self.departures) if v},
+            arrivals=_nonzero(self.arrivals),
+            departures=_nonzero(self.departures),
         )
         if self._tokens:
-            snap.token_arrivals = {e: v for e, v in enumerate(self.tok_arr) if v}
-            snap.replacement_arrivals = {e: v for e, v in enumerate(self.rep_arr) if v}
-            snap.fresh_arrivals = {e: v for e, v in enumerate(self.fresh_arr) if v}
-            snap.actual_departures = {e: v for e, v in enumerate(self.act_dep) if v}
-            snap.expiries = {e: v for e, v in enumerate(self.exp_dep) if v}
+            snap.token_arrivals = _nonzero(self.tok_arr)
+            snap.replacement_arrivals = _nonzero(self.rep_arr)
+            snap.fresh_arrivals = _nonzero(self.fresh_arr)
+            snap.actual_departures = _nonzero(self.act_dep)
+            snap.expiries = _nonzero(self.exp_dep)
         if self._conservation_error():
             raise InvariantError(
                 "edge counters disagree with the population change "
@@ -798,14 +811,18 @@ class Simulation:
         actual departures.  Zero unless the bookkeeping is broken."""
         err = 0.0
         for i, edges in enumerate(self.space.edges_of_type):
-            a = sum(self.arrivals[e] for e in edges)
-            d = sum(self.departures[e] for e in edges)
-            err = max(err, abs(a - d - (self.Y[i] - self._y0[i])))
+            # The edges of a type are one ascending run of indexes.
+            span = slice(edges[0], edges[-1] + 1)
+            net = sum(self.arrivals[span]) - sum(self.departures[span])
+            err = max(err, abs(net - (self.Y[i] - self._y0[i])))
             if self._tokens:
-                placed = sum(self.tok_arr[e] for e in edges)
-                actual = sum(self.act_dep[e] for e in edges)
-                err = max(err, abs(placed - actual))
+                err = max(err, abs(sum(self.tok_arr[span]) - sum(self.act_dep[span])))
         return err
+
+
+def _nonzero(values) -> dict:
+    """{index: value} of the nonzero entries, in index order."""
+    return dict(zip(compress(count(), values), filter(None, values)))
 
 
 def run(
@@ -912,6 +929,7 @@ def write_snapshots_csv(space: ConfigSpace, snapshots, path) -> None:
     import json
 
     I = space.num_types
+    keys = [config_key(k) for k in space.configs]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -921,7 +939,7 @@ def write_snapshots_csv(space: ConfigSpace, snapshots, path) -> None:
             + [f"ytilde{i}" for i in range(I)]
         )
         for s in snapshots:
-            xs = {config_key(space.configs[t]): v for t, v in sorted(s.x.items())}
+            xs = {keys[t]: v for t, v in sorted(s.x.items())}
             w.writerow(
                 [s.t, json.dumps(xs, sort_keys=True)]
                 + list(s.y)

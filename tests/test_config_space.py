@@ -131,6 +131,26 @@ class TestEdges:
                 if up is not None:
                     assert space.down_index[up][i] == t
 
+    @pytest.mark.parametrize("make", [
+        lambda: scalar_space(2),
+        b3_space,
+        lambda: enumerate_configs(ResourceProfile(
+            (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))),
+        lambda: enumerate_configs(ResourceProfile(
+            (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03)))),
+        lambda: validate_explicit_configs([
+            (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1),
+            (1, 0, 1), (0, 0, 2), (1, 1, 1), (0, 1, 2)]),
+    ], ids=["k12", "b3", "48", "428", "explicit-3-types"])
+    def test_edges_of_type_are_contiguous_ranges(self, make):
+        # The simulator sums per-type edge counters over list slices.
+        space = make()
+        start = 0
+        for edges in space.edges_of_type:
+            assert edges == tuple(range(start, start + len(edges)))
+            start += len(edges)
+        assert start == space.num_edges
+
 
 class TestAggregates:
     def test_b3_partition(self):

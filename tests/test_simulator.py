@@ -52,6 +52,14 @@ def state_of(space, counts, alpha=1.0):
     return SystemState.from_counts(space, alpha, counts)
 
 
+def cc_state(sim, k_idx, khat_idx):
+    """Index of the complete state (config k_idx, held config khat_idx or -1)."""
+    I = sim.space.num_types
+    held = sim.space.configs[khat_idx] if khat_idx >= 0 else (0,) * I
+    return sim._cc_first[k_idx] + sum(
+        h * sim._cc_stride[k_idx * I + j] for j, h in enumerate(held))
+
+
 class TestPlaceGreedyD:
     def test_prefers_stacking_on_pairs(self):
         space = scalar_space(2)
@@ -335,18 +343,18 @@ class TestTokenRuns:
 
     def test_complete_states_enumerated(self):
         sim = self.make_sim()
+        I = sim.space.num_types
         # (1) holds 0..1 actuals, (2) holds 0..2
-        assert len(sim.cc_list) == 5
-        for k_idx, khat_idx in sim.cc_list:
-            if khat_idx >= 0:
-                k = sim.space.configs[k_idx]
-                khat = sim.space.configs[khat_idx]
-                assert all(h <= v for h, v in zip(khat, k))
+        assert sim._cc_first[-1] == 5
+        for c in range(sim._cc_first[-1]):
+            k = sim.space.configs[sim._cc_config[c]]
+            khat = sim._cc_held[c * I:(c + 1) * I]
+            assert all(h <= v for h, v in zip(khat, k))
 
     def test_lone_token_expires_to_empty(self):
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
-        sim._cc_move(-1, sim.cc_index[(k0, -1)])
+        sim._cc_move(-1, cc_state(sim, k0, -1))
         sim.Y[0] += 1
         sim.Ytilde[0] += 1
         arr = sum(sim._arr_rate)
@@ -361,7 +369,7 @@ class TestTokenRuns:
     def test_arrival_without_tokens_matches_plain_rule(self):
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
-        sim._cc_move(-1, sim.cc_index[(k0, k0)])
+        sim._cc_move(-1, cc_state(sim, k0, k0))
         sim.Y[0] += 1
         sim.Yhat[0] += 1
         predicted = place_greedy_d(sim.state, 0)
@@ -373,7 +381,7 @@ class TestTokenRuns:
     def test_arrival_with_token_replaces_it(self):
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
-        sim._cc_move(-1, sim.cc_index[(k0, -1)])
+        sim._cc_move(-1, cc_state(sim, k0, -1))
         sim.Y[0] += 1
         sim.Ytilde[0] += 1
         y_before = list(sim.Y)
@@ -383,12 +391,12 @@ class TestTokenRuns:
         assert sim.Ytilde[0] == 0
         assert sum(sim.rep_arr) == 1
         assert sum(sim.arrivals) == 0  # replacements are not edge arrivals
-        assert sim.Xc[sim.cc_index[(k0, k0)]] == 1
+        assert sim.Xc[cc_state(sim, k0, k0)] == 1
 
     def test_departure_places_token_immediately(self):
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
-        sim._cc_move(-1, sim.cc_index[(k0, k0)])
+        sim._cc_move(-1, cc_state(sim, k0, k0))
         sim.Y[0] += 1
         sim.Yhat[0] += 1
         arr = sum(sim._arr_rate)
