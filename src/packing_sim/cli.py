@@ -21,15 +21,9 @@ import sys
 
 import numpy as np
 
-from .config_space import ConfigSpaceError, config_key, space_from_dict, space_to_dict
+from .config_space import ConfigSpaceError, space_from_dict, space_to_dict, sparse_state
 from .fluid import integrate
-from .optimizer import (
-    Demand,
-    NonconvergenceError,
-    objective,
-    solve_aggregate_optimum,
-    solve_optimum,
-)
+from .optimizer import Demand, NonconvergenceError, objective
 from .harness import Experiment, run_experiment, solve_optima
 from .simulator import (
     AltPlacement,
@@ -103,14 +97,6 @@ def _emit(obj: dict, out, filename: str):
         print(text)
 
 
-def _sparse_x(space, x) -> dict:
-    return {
-        config_key(space.configs[t]): float(v)
-        for t, v in enumerate(x)
-        if v
-    }
-
-
 def _sim_config(cfg: dict, args) -> SimConfig:
     cfg = _apply_overrides(cfg, args)
     space = _space(cfg)
@@ -151,32 +137,35 @@ def cmd_enumerate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     space = _space(cfg)
-    demand = _demand(cfg)
     alpha = float(cfg.get("alpha", 1.0))
-    tol = float(cfg.get("tol", 1e-9))
-    state, cert = solve_optimum(space, demand, alpha, tol=tol)
+    # A solver that fails leaves its fields null and its message under
+    # "errors"; the other solver's optimum is still written.
+    state, cert, agg_state, phistar, errors = solve_optima(space, _demand(cfg), alpha)
     doc = {
-        "x": _sparse_x(space, state.x),
-        "eta": [float(v) for v in cert.eta],
-        "kkt_residual": float(cert.residual),
-        "objective": objective(state),
+        "x": None if state is None else sparse_state(space, state.x),
+        "eta": None if cert is None else [float(v) for v in cert.eta],
+        "kkt_residual": None if cert is None else float(cert.residual),
+        "objective": None if state is None else objective(state),
         "alpha": alpha,
     }
     if space.has_aggregates:
-        agg_state, agg_value = solve_aggregate_optimum(space, demand, alpha)
         doc["aggregate"] = {
-            "x": _sparse_x(space, agg_state.x),
-            "objective": float(agg_value),
+            "x": None if agg_state is None else sparse_state(space, agg_state.x),
+            "objective": None if phistar is None else float(phistar),
         }
+    if errors:
+        doc["errors"] = errors
     _emit(doc, _out_dir(args), "solution.json")
-    return 0
+    return 2 if errors else 0
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args.config)
     config = _sim_config(cfg, args)
     # The summary omits the distance fields of a solver that fails.
-    state, _cert, phistar, _errors = solve_optima(config.space, config.demand, config.alpha)
+    state, _cert, _agg_state, phistar, _errors = solve_optima(
+        config.space, config.demand, config.alpha
+    )
     xstar = None if state is None else state.x
     result = run_simulation(config, xstar=xstar, phistar=phistar)
     out = _out_dir(args)
@@ -197,9 +186,7 @@ def cmd_fluid(args) -> int:
     x0_raw = json.loads(args.x0) if args.x0 is not None else cfg.get("x0")
     if x0_raw is None:
         x0 = np.zeros(space.num_configs)
-        rho = demand.rho
-        for i in range(space.num_types):
-            x0[space.unit_index[i]] = rho[i]
+        x0[list(space.unit_index)] = demand.rho
     elif isinstance(x0_raw, dict):
         x0 = np.zeros(space.num_configs)
         for key, v in x0_raw.items():
@@ -217,11 +204,11 @@ def cmd_fluid(args) -> int:
             w = csv.writer(fh)
             w.writerow(["t", "x", "objective"])
             for t, x, f in zip(traj.times, traj.states, traj.objective_values):
-                w.writerow([t, json.dumps(_sparse_x(space, x), sort_keys=True), f])
+                w.writerow([t, json.dumps(sparse_state(space, x), sort_keys=True), f])
         print(f"wrote {path}")
     doc = {
         "final_t": float(traj.times[-1]),
-        "final_x": _sparse_x(space, traj.final),
+        "final_x": sparse_state(space, traj.final),
         "final_objective": float(traj.objective_values[-1]),
         "steps": len(traj.times) - 1,
     }

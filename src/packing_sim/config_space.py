@@ -459,6 +459,11 @@ def config_key(config: Sequence[int]) -> str:
     return ",".join(map(str, config))
 
 
+def sparse_state(space: ConfigSpace, x) -> dict:
+    """The nonzero coordinates of a state vector, keyed by ``config_key``."""
+    return {config_key(space.configs[t]): float(v) for t, v in enumerate(x) if v}
+
+
 def class_minus_type(space: ConfigSpace, class_id: int, i: int) -> Optional[int]:
     """Class reached from ``class_id`` by removing one type-i customer.
 

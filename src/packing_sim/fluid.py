@@ -11,10 +11,10 @@ the minimum (within ``DEFAULT_TIE_TOL``) its mass stays put; otherwise it
 is split equally among the minimizing available edges.  This keeps the
 objective minimizer an exact fixed point of the integrator.
 
-The integrator is explicit Euler with negative-coordinate clipping
-followed by exact re-projection onto the feasible polytope.  Token
-dynamics of the deferred-placement (token) discipline reduce to
-per-type scalar ODEs and are integrated separately.
+The integrator is explicit Euler on one state vector: a step that leaves
+a negative coordinate is clipped and exactly re-projected onto the
+feasible polytope.  Token dynamics of the deferred-placement (token)
+discipline reduce to per-type scalar ODEs and are integrated separately.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .optimizer import (
     Demand,
     StatePoint,
     _edge_mass_coefficients,
+    _weight_diffs,
     constraint_matrix,
     objective,
     project_to_polytope,
@@ -56,50 +57,30 @@ class FluidTrajectory:
 
 
 def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
-    """The greedy re-placement rule as ``flows(xl)``: the net rate per edge.
+    """The greedy re-placement rule as ``flows(x)``: the net rate per edge.
 
-    Static edge tables are built once as plain lists; ``flows`` takes the
-    state as a list and moves each donor edge's departure mass off the
-    edge and onto the minimizing available edges in equal shares.  Mass
-    whose own edge attains the minimum returns to it: no net flow.
+    Each type's edges are one contiguous range from ``starts[i]``, so
+    per-type minima and sums are ``reduceat`` over those ranges.  Edges
+    not tied with their type's minimum lose their departure mass, which
+    is split equally among the type's winners (available tied edges).
     """
-    e_target = list(space.edge_target)
-    e_base = list(space.edge_base)
-    e_coef = _edge_mass_coefficients(space, demand).tolist()
-    per_type = [list(space.edges_of_type[i]) for i in range(space.num_types)]
-    num_edges = space.num_edges
+    target = np.asarray(space.edge_target)
+    base = np.asarray(space.edge_base)
+    unit = base < 0
+    edge_type = np.asarray(space.edge_type)
+    starts = [edges[0] for edges in space.edges_of_type]
+    coef = _edge_mass_coefficients(space, demand)
 
-    def flows(xl):
-        out = [0.0] * num_edges
-        for edges in per_type:
-            deltas = []
-            for e in edges:
-                t = e_target[e]
-                b = e_base[e]
-                hi = xl[t] ** alpha if xl[t] > 0.0 else 0.0
-                lo = (xl[b] ** alpha if xl[b] > 0.0 else 0.0) if b >= 0 else 0.0
-                deltas.append(hi - lo)
-            m = None
-            winners = []
-            for j, e in enumerate(edges):
-                b = e_base[e]
-                if b < 0 or xl[b] > DEFAULT_FEAS_EPS:
-                    if m is None or deltas[j] < m:
-                        m = deltas[j]
-            for j, e in enumerate(edges):
-                b = e_base[e]
-                if (b < 0 or xl[b] > DEFAULT_FEAS_EPS) and deltas[j] <= m + DEFAULT_TIE_TOL:
-                    winners.append(j)
-            share = 1.0 / len(winners)
-            for j, e in enumerate(edges):
-                t = e_target[e]
-                mass = e_coef[e] * xl[t] if xl[t] > 0.0 else 0.0
-                if mass <= 0.0 or deltas[j] <= m + DEFAULT_TIE_TOL:
-                    continue
-                out[e] -= mass
-                for jw in winners:
-                    out[edges[jw]] += mass * share
-        return out
+    def flows(x):
+        xp = np.append(np.maximum(x, 0.0), 0.0)
+        delta = _weight_diffs(xp, alpha, target, base)
+        avail = unit | (xp[base] > DEFAULT_FEAS_EPS)
+        m = np.minimum.reduceat(np.where(avail, delta, np.inf), starts)
+        tied = delta <= m[edge_type] + DEFAULT_TIE_TOL
+        winners = avail & tied
+        moved = np.where(tied, 0.0, coef * xp[target])
+        share = np.add.reduceat(moved, starts) / np.add.reduceat(winners, starts)
+        return np.where(winners, share[edge_type], -moved)
 
     return flows
 
@@ -109,8 +90,7 @@ def greedy_rate_allocation(space: ConfigSpace, state: StatePoint, demand: Demand
     each edge's own departure mass plus the net re-placement flow."""
     x = state.x
     mass = _edge_mass_coefficients(space, demand) * np.maximum(x, 0.0)[list(space.edge_target)]
-    flows = _greedy_flows(space, demand, state.alpha)(list(x))
-    return Allocation(gamma=mass + np.asarray(flows))
+    return Allocation(gamma=mass + _greedy_flows(space, demand, state.alpha)(x))
 
 
 def integrate(
@@ -121,12 +101,18 @@ def integrate(
     horizon: float,
     dt: float,
 ) -> FluidTrajectory:
-    """Euler integration of the greedy fluid dynamics from a feasible state."""
+    """Euler integration of the greedy fluid dynamics from a feasible state.
+
+    One step is ``x + dt * M @ flows(x)`` with M the configs x edges
+    incidence matrix (+1 at an edge's target, -1 at its base); a step
+    that leaves a negative coordinate is clipped and re-projected.
+    """
     if dt <= 0 or horizon < 0:
         raise ValueError("need dt > 0 and horizon >= 0")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (space.num_configs,):
-        raise ValueError(f"x0 must have {space.num_configs} entries")
+    x = np.array(x0, dtype=float)
+    n = space.num_configs
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have {n} entries")
     A = constraint_matrix(space)
     rho = demand.rho
     if float(np.max(np.abs(A @ x - rho))) > 1e-9 or np.min(x) < -1e-12:
@@ -134,47 +120,30 @@ def integrate(
 
     n_steps = int(round(horizon / dt))
     bound = 2.0 * float(np.max(rho))
-    flows_at = _greedy_flows(space, demand, alpha)
-    e_target = list(space.edge_target)
-    e_base = list(space.edge_base)
+    flows = _greedy_flows(space, demand, alpha)
+    eye = np.eye(n + 1, n)  # row n, read by the empty-server bases, is zero
+    # C order: a strided M falls off numpy's fast matrix-vector path.
+    M = np.ascontiguousarray((eye[list(space.edge_target)] - eye[list(space.edge_base)]).T)
 
-    xs = [x.copy()]
-    fs = [objective(StatePoint(x, alpha))]
-    times = [0.0]
-    xl = list(x)
-    for step in range(n_steps):
-        flows = flows_at(xl)
-        clip = False
-        for e in range(space.num_edges):
-            f = flows[e]
-            if f == 0.0:
-                continue
-            t = e_target[e]
-            b = e_base[e]
-            xl[t] += dt * f
-            if b >= 0:
-                xl[b] -= dt * f
-            if xl[t] < 0.0 or (b >= 0 and xl[b] < 0.0):
-                clip = True
-        if clip:
-            x = project_to_polytope(A, rho, np.maximum(np.asarray(xl), 0.0))
-            xl = list(x)
-        xs.append(np.asarray(xl))
-        drifted = np.flatnonzero(~(np.abs(A @ xs[-1] - rho) < 1e-6))
+    xs = [x]
+    for _ in range(n_steps):
+        x = x + dt * (M @ flows(x))
+        if x.min() < 0.0:
+            x = project_to_polytope(A, rho, np.maximum(x, 0.0))
+        drifted = np.flatnonzero(~(np.abs(A @ x - rho) < 1e-6))
         if len(drifted):
             raise InvariantError(f"type {drifted[0]}: per-type conservation drifted")
-        hi = max(xl)
+        hi = x.max()
         if hi > bound:
             raise IntegrationError(
                 f"state coordinate {hi:.3g} exceeds bound {bound:.3g}; reduce dt"
             )
-        fs.append(objective(StatePoint(xs[-1], alpha)))
-        times.append((step + 1) * dt)
+        xs.append(x)
 
     return FluidTrajectory(
-        times=np.asarray(times),
+        times=np.arange(n_steps + 1) * dt,
         states=np.asarray(xs),
-        objective_values=np.asarray(fs),
+        objective_values=np.asarray([objective(StatePoint(x, alpha)) for x in xs]),
     )
 
 

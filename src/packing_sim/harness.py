@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config_space import config_key, space_to_dict
+from .config_space import space_to_dict, sparse_state
 from .optimizer import NonconvergenceError, solve_aggregate_optimum, solve_optimum
 from .simulator import (
     SimConfig,
@@ -192,22 +192,23 @@ def _run_cell(args):
 def solve_optima(space, demand, alpha: float):
     """Both fluid optima, each solver guarded on its own.
 
-    Returns (state, certificate, phistar, errors).  A solver that does not
-    converge leaves its fields None and its message in ``errors`` under
-    the solver's name; phistar is None on a space without classes.
+    Returns (state, certificate, aggregate state, phistar, errors).  A
+    solver that does not converge leaves its fields None and its message
+    in ``errors`` under the solver's name; the aggregate fields are None
+    on a space without classes.
     """
     errors = {}
-    state = cert = phistar = None
+    state = cert = agg_state = phistar = None
     try:
         state, cert = solve_optimum(space, demand, alpha)
     except NonconvergenceError as exc:
         errors["solve_optimum"] = f"NonconvergenceError: {exc}"
     if space.has_aggregates:
         try:
-            _, phistar = solve_aggregate_optimum(space, demand, alpha)
+            agg_state, phistar = solve_aggregate_optimum(space, demand, alpha)
         except NonconvergenceError as exc:
             errors["solve_aggregate_optimum"] = f"NonconvergenceError: {exc}"
-    return state, cert, phistar, errors
+    return state, cert, agg_state, phistar, errors
 
 
 def run_experiment(exp: Experiment, workers: int = 1) -> dict:
@@ -223,7 +224,7 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
     if not exp.r_grid:
         warnings.warn("empty r_grid: nothing to simulate", stacklevel=2)
 
-    state, cert, phistar, errors = solve_optima(space, base.demand, base.alpha)
+    state, cert, _agg_state, phistar, errors = solve_optima(space, base.demand, base.alpha)
     xstar = None if state is None else state.x
     blocked = [errors[_NEEDS_SOLVER[m]] for m in exp.metrics if _NEEDS_SOLVER.get(m) in errors]
     solver_error = blocked[0] if blocked else None
@@ -308,8 +309,7 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
             "metrics": exp.metrics,
         },
         "optimum": {
-            "x": None if state is None else {
-                config_key(space.configs[t]): float(v) for t, v in enumerate(xstar) if v},
+            "x": None if state is None else sparse_state(space, xstar),
             "eta": None if cert is None else [float(v) for v in cert.eta],
             "kkt_residual": None if cert is None else float(cert.residual),
             "aggregate_objective": None if phistar is None else float(phistar),

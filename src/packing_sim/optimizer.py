@@ -474,23 +474,30 @@ def _recover_aggregate_primal(space, A, rho, K, eta, alpha, fallback):
     return x
 
 
+def _weight_diffs(xp: np.ndarray, alpha: float, target, base) -> np.ndarray:
+    """Every edge's weight differential x_target^alpha - x_base^alpha.
+
+    ``xp`` is max(x, 0) with one zero appended, so that base -1 (the empty
+    server) reads 0; ``target`` and ``base`` list the edges' ends.
+    """
+    w = xp ** alpha
+    return w[target] - w[base]
+
+
+def _space_weight_diffs(space: ConfigSpace, state: StatePoint) -> np.ndarray:
+    xp = np.append(np.maximum(state.x, 0.0), 0.0)
+    return _weight_diffs(xp, state.alpha, list(space.edge_target), list(space.edge_base))
+
+
 def weight_diff(space: ConfigSpace, state: StatePoint, edge: int) -> float:
     """Weight differential along an edge: x_target^alpha - x_base^alpha."""
-    x = state.x
-    t = space.edge_target[edge]
-    b = space.edge_base[edge]
-    hi = max(x[t], 0.0) ** state.alpha
-    lo = max(x[b], 0.0) ** state.alpha if b >= 0 else 0.0
-    return float(hi - lo)
+    return float(_space_weight_diffs(space, state)[edge])
 
 
 def _edge_mass_coefficients(space: ConfigSpace, demand: Demand) -> np.ndarray:
     # Edge (k, i) carries departure mass k_i * mu_i * x_k.
-    coef = np.empty(space.num_edges)
-    for e in range(space.num_edges):
-        i = space.edge_type[e]
-        coef[e] = space.configs[space.edge_target[e]][i] * demand.service[i]
-    return coef
+    i = list(space.edge_type)
+    return constraint_matrix(space)[i, list(space.edge_target)] * demand.service[i]
 
 
 def neutral_allocation(
@@ -512,8 +519,7 @@ def neutral_allocation(
 def drift(space: ConfigSpace, alloc: Allocation, state: StatePoint, demand: Demand) -> float:
     """D(gamma, x): rate of change of F under the given placement rates."""
     neutral = neutral_allocation(space, state, demand)
-    deltas = np.array([weight_diff(space, state, e) for e in range(space.num_edges)])
-    return float(deltas @ (alloc.gamma - neutral.gamma))
+    return float(_space_weight_diffs(space, state) @ (alloc.gamma - neutral.gamma))
 
 
 def simple_improving_allocations(
@@ -532,7 +538,7 @@ def simple_improving_allocations(
     """
     x = state.x
     neutral = neutral_allocation(space, state, demand)
-    deltas = [weight_diff(space, state, e) for e in range(space.num_edges)]
+    deltas = _space_weight_diffs(space, state).tolist()
     out = []
     for i in range(space.num_types):
         edges = space.edges_of_type[i]

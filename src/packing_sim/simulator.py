@@ -34,7 +34,13 @@ from typing import Optional
 
 import numpy as np
 
-from .config_space import ConfigSpace, ConfigSpaceError, InvariantError, config_key
+from .config_space import (
+    ConfigSpace,
+    ConfigSpaceError,
+    InvariantError,
+    config_key,
+    sparse_state,
+)
 from .optimizer import Demand, StatePoint, aggregate_objective, objective
 
 MODES = ("closed", "open")
@@ -896,7 +902,7 @@ def _summarize(sim: Simulation, snapshots, xstar, phistar) -> dict:
         "n_samples": len(snapshots),
         "n_events": sim.n_events,
         "final_time": sim.t,
-        "x_bar": {config_key(space.configs[t]): float(v) for t, v in enumerate(xbar) if v},
+        "x_bar": sparse_state(space, xbar),
         "y_bar": [float(v) for v in ybar],
         "yhat_bar": [float(v) for v in yhat_bar],
         "ytilde_bar": [float(v) for v in ytilde_bar],

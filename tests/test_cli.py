@@ -258,3 +258,17 @@ class TestSolverFailure:
         summary = read_json(capsys)
         assert "l2_to_target" not in summary
         assert "aggregate_objective_gap" in summary
+
+    @pytest.mark.parametrize("failed", ["solve_aggregate_optimum", "solve_optimum"])
+    def test_solve_keeps_the_converged_optimum(self, tmp_path, capsys, monkeypatch, failed):
+        self.stall(monkeypatch, failed)
+        cfg = write_config(tmp_path, space={"B": [3.0], "b": [[1.0], [2.0]]},
+                           arrival=[0.5, 0.25], service=[1.0, 1.0])
+        assert main(["solve", "--config", cfg]) == 2
+        doc = read_json(capsys)
+        assert doc["errors"] == {failed: f"NonconvergenceError: {failed} stalled"}
+        plain = (doc["x"], doc["eta"], doc["kkt_residual"], doc["objective"])
+        aggregate = (doc["aggregate"]["x"], doc["aggregate"]["objective"])
+        nulls, values = (plain, aggregate) if failed == "solve_optimum" else (aggregate, plain)
+        assert all(v is None for v in nulls)
+        assert all(v is not None for v in values)
