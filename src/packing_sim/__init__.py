@@ -68,7 +68,6 @@ from .harness import (
     WindowTooShortError,
     batch_means,
     run_experiment,
-    stationarity_estimate,
 )
 
 __version__ = "0.1.0"
@@ -118,7 +117,6 @@ __all__ = [
     "solve_optimum",
     "space_from_dict",
     "space_to_dict",
-    "stationarity_estimate",
     "token_odes",
     "validate_explicit_configs",
     "weight_diff",

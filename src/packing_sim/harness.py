@@ -121,39 +121,6 @@ def batch_means(values: Sequence[float], num_batches: int = 20) -> tuple[float, 
     return mean, se
 
 
-def stationarity_estimate(
-    snapshots,
-    burn_in: float = 0.0,
-    method: str = "batch_means",
-    num_batches: int = 20,
-    num_configs: Optional[int] = None,
-):
-    """Time-average of the fluid state over post-burn-in snapshots.
-
-    Returns (mean vector over configurations, standard-error vector).
-    Standard errors come from batch means over the snapshot sequence.
-    """
-    if method != "batch_means":
-        raise ValueError(f"unknown method {method!r}")
-    window = [s for s in snapshots if s.t >= burn_in]
-    if not window:
-        raise WindowTooShortError("no snapshots after burn_in; extend the horizon")
-    if num_configs is None:
-        num_configs = 0
-        for s in window:
-            if s.x:
-                num_configs = max(num_configs, max(s.x) + 1)
-    series = np.zeros((len(window), num_configs))
-    for j, s in enumerate(window):
-        for t, v in s.x.items():
-            series[j, t] = v
-    means = np.empty(num_configs)
-    ses = np.empty(num_configs)
-    for t in range(num_configs):
-        means[t], ses[t] = batch_means(series[:, t], num_batches)
-    return means, ses
-
-
 def _objective_series(snapshots, alpha: float) -> tuple[list, list]:
     times = []
     vals = []

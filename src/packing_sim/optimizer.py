@@ -15,8 +15,11 @@ placement disciplines.  With aggregate classes the objective sums class
 totals instead (Phi).  This module provides:
 
 * exact Euclidean projection onto X (exact solve on the optimal face),
-* solvers for the F- and Phi-minima with a posteriori optimality
-  certificates (multipliers eta with x_k^alpha = max(k . eta, 0)),
+* the F-minimum, by semismooth Newton ascent on its concave dual (the
+  routine that also finds the projection's free set), with an a
+  posteriori certificate (multipliers eta with x_k^alpha = max(k . eta, 0)),
+* the Phi-minimum, by a primal-dual interior-point method whose duality
+  gap is its acceptance test,
 * per-edge weight differentials, allocations of placement rates, their
   drift D (the derivative of F along the induced fluid motion), and the
   search for simple improving reallocations whose drift is negative
@@ -173,42 +176,37 @@ def _face_projection(A, b, z, free, scale):
     return x, nu
 
 
-def _dual_newton(K, b, alpha, eta0, z=None, member_table=None, target=np.inf):
-    """Semismooth Newton ascent on the concave dual shared by every solver here,
+def _dual_newton(K, b, alpha, eta0, z=None):
+    """Semismooth Newton ascent on the concave dual shared by F and the
+    projection,
 
-        g(eta) = b.eta - a/(1+a) * sum_q max(0, max_{k in q} z_k + k.eta)^((1+a)/a),
+        g(eta) = b.eta - a/(1+a) * sum_k max(0, z_k + k.eta)^((1+a)/a),
 
-    over the classes q of ``member_table`` (one per configuration when None)
-    with shift z (zero when None).  Its gradient is b - A x(eta), where x
-    puts u_q^(1/a), u_q = max(0, max_{k in q} z_k + k.eta), on the first
-    maximal member of class q.  Each step solves (H + lam (1 + tr H)/m) d =
-    grad with Armijo backtracking on g; lam starts at 1e-14, grows by 1e3
-    when backtracking fails above t = 1e-6 and shrinks by 1e3 after a full
-    step.  Stops at |A x - b| <= 1e-12 scale, at g >= target, or when no
+    with shift z (zero when None).  Its gradient is b - A x(eta), where
+    x_k = u_k^(1/a), u_k = max(0, z_k + k.eta).  Each step solves (H + lam
+    (1 + tr H)/m) d = grad with Armijo backtracking on g; lam starts at
+    1e-14, grows by 1e3 when backtracking fails above t = 1e-6 and shrinks
+    by 1e3 after a full step.  Stops at |A x - b| <= 1e-12 scale or when no
     regularization yields ascent.  Returns eta and g(eta).
     """
     n, m = K.shape
     inv = 1.0 / alpha
     shift = np.zeros(n) if z is None else z
-    table = np.arange(n)[:, None] if member_table is None else member_table
-    rows = np.arange(len(table))
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(shift))))
 
     def at(eta):
-        v = np.append(shift + K @ eta, -np.inf)[table]
-        j = v.argmax(axis=1)  # the first maximal member breaks ties
-        u = np.maximum(v[rows, j], 0.0)
+        u = np.maximum(shift + K @ eta, 0.0)
         g = float(b @ eta) - alpha / (1.0 + alpha) * float(np.sum(u ** (1.0 + inv)))
-        return u, table[rows, j], g
+        return u, g
 
     eta = np.array(eta0, dtype=float)
-    u, best, g = at(eta)
+    u, g = at(eta)
     lam = 1e-14
     for _ in range(200):
         on = u > 0
-        kb = K[best[on]]
+        kb = K[on]
         grad = b - kb.T @ u[on] ** inv
-        if float(np.max(np.abs(grad))) <= 1e-12 * scale or g >= target:
+        if float(np.max(np.abs(grad))) <= 1e-12 * scale:
             break
         # Guard the exploding derivative near the kink for alpha > 1.
         kb *= np.sqrt(np.minimum(inv * u[on] ** (inv - 1.0), 1e12))[:, None]
@@ -226,7 +224,7 @@ def _dual_newton(K, b, alpha, eta0, z=None, member_table=None, target=np.inf):
             t = 1.0
             while t >= 1e-6:
                 cand = eta + t * d
-                uc, bc, gc = at(cand)
+                uc, gc = at(cand)
                 if gc >= g + 1e-4 * t * slope - slack:
                     break
                 t *= 0.5
@@ -237,7 +235,7 @@ def _dual_newton(K, b, alpha, eta0, z=None, member_table=None, target=np.inf):
             break
         if t == 1.0:
             lam = max(lam / 1e3, 1e-14)
-        eta, u, best, g = cand, uc, bc, gc
+        eta, u, g = cand, uc, gc
     return eta, g
 
 
@@ -267,35 +265,6 @@ def aggregate_objective(space: ConfigSpace, state: StatePoint) -> float:
 
 def _config_rows(space: ConfigSpace) -> np.ndarray:
     return constraint_matrix(space).T
-
-
-def _pg_minimize(A, rho, x0, grad, value, iters=400):
-    """Projected gradient with backtracking and Barzilai-Borwein steps."""
-    x = project_to_polytope(A, rho, x0)
-    g = grad(x)
-    step = 1.0
-    fx = value(x)
-    for _ in range(iters):
-        y = x
-        for _ in range(60):
-            y = project_to_polytope(A, rho, x - step * g)
-            d = y - x
-            dn = float(d @ d)
-            if dn <= 1e-30:
-                break
-            if value(y) <= fx + float(g @ d) + 0.5 / step * dn + 1e-15:
-                break
-            step *= 0.5
-        d = y - x
-        dn = float(d @ d)
-        if dn <= 1e-28:
-            return y
-        g_new = grad(y)
-        dg = g_new - g
-        denom = float(d @ dg)
-        step = min(max(dn / denom, 1e-8), 1e8) if denom > 1e-30 else step * 2.0
-        x, g, fx = y, g_new, value(y)
-    return x
 
 
 def solve_optimum(
@@ -408,70 +377,90 @@ def solve_aggregate_optimum(
 ) -> tuple[StatePoint, float]:
     """Minimize the class-total objective Phi over the feasible polytope.
 
-    Projected gradient from F's dual Newton point, then dual Newton on the
-    class form of the concave dual
+    Mehrotra's predictor-corrector interior-point method on A x = rho,
+    x >= 0, with bound multipliers z and type multipliers eta.  The Newton
+    matrix W = Hess Phi + Z/X is block diagonal by class, each block a
+    diagonal plus a s_q^(a-1) 1 1^T, so W^-1 is applied per class by
+    Sherman-Morrison and each step solves one m x m system in eta.  x, z
+    and eta move by one common step, 0.99 times the largest feasible one.
+    The loop stops at |A x - rho| <= 1e-12 max(1, |rho|), duality gap
+    Phi(x) - g(eta) <= 1e-10 and x.z <= 1e-16 n, where g is the class dual
 
         g(eta) = rho . eta - a/(1+a) * sum_q max(0, max_{k in q} k.eta)^((1+a)/a),
 
-    followed by primal recovery constrained to per-class argmax supports.
-    Acceptance requires duality gap and feasibility within tol.
+    or when the reduced system turns singular.  Phi fixes only class
+    totals, and x, which stays positive, is near the analytic centre of the
+    optimal face.  Acceptance requires duality gap and feasibility within
+    tol.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     agg = _require_aggregates(space)
-    class_of = np.asarray(agg.class_of)
+    cls = np.asarray(agg.class_of) - 1
+    nq = agg.num_classes
     A = constraint_matrix(space)
+    K = A.T
     rho = demand.rho
-    K = _config_rows(space)
+    m, n = A.shape
+    inv = 1.0 / alpha
+    # Flat (class, column) bins of an n x (m + 1) block, for class sums.
+    flat = (cls[:, None] * (m + 1) + np.arange(m + 1)).ravel()
+    feas_tol = 1e-12 * max(1.0, float(np.max(np.abs(rho))))
 
-    def phi(x):
-        return aggregate_objective(space, StatePoint(x, alpha))
+    def dual(eta):
+        u = np.maximum(_class_rows(space, K @ eta, -np.inf).max(axis=1), 0.0)
+        return float(rho @ eta) - alpha / (1.0 + alpha) * float(np.sum(u ** (1.0 + inv)))
 
-    def grad(x):
-        return (class_totals(space, x) ** alpha)[class_of]
+    def step(dx, dz, frac):
+        """min(1, frac times the largest t keeping x + t dx, z + t dz >= 0)."""
+        return frac / max(float(np.max(-dx / x)), float(np.max(-dz / z)), frac)
 
-    x = _pg_minimize(A, rho, _plain_primal(A, rho, alpha), grad, phi)
-    eta = kkt_certificate(space, StatePoint(x, alpha), demand, aggregate=True).eta
-    eta, gval = _dual_newton(K, rho, alpha, eta, member_table=agg.member_table,
-                             target=phi(x) - 1e-3 * tol)
+    x = np.full(n, max(float(np.max(rho)), 1.0) / n)
+    z = np.ones(n)
+    eta = np.zeros(m)
+    for _ in range(100):
+        s = np.bincount(cls, x, nq)
+        rp = A @ x - rho
+        gap = float(np.sum(s ** (1.0 + alpha))) / (1.0 + alpha) - dual(eta)
+        xz = float(x @ z)
+        if float(np.max(np.abs(rp))) <= feas_tol and gap <= 1e-10 and xz <= 1e-16 * n:
+            break
+        rd = s[cls] ** alpha - K @ eta - z
+        dinv = x / z
+        den = s ** (1.0 - alpha) / alpha + np.bincount(cls, dinv, nq)
 
-    x_rec = _recover_aggregate_primal(space, A, rho, K, eta, alpha, x)
-    if phi(x_rec) < phi(x):
-        x = x_rec
-    value = phi(x)
-    gap = value - gval
+        def direction(rc):
+            # W^-1 [K, r] in one pass: D^-1 V minus, per class, D^-1 1
+            # (1^T D^-1 V) / (s^(1-a)/a + 1^T D^-1 1).
+            V = np.column_stack((K, rd + rc / x)) * dinv[:, None]
+            S = np.bincount(flat, V.ravel(), nq * (m + 1)).reshape(nq, m + 1)
+            V -= dinv[:, None] * (S / den[:, None])[cls]
+            deta = np.linalg.solve(A @ V[:, :m], A @ V[:, m] - rp)
+            dx = V[:, :m] @ deta - V[:, m]
+            return dx, -(rc + z * dx) / x, deta
+
+        try:
+            # Affine predictor, then the centred corrector with its dx dz term.
+            dx, dz, _ = direction(x * z)
+            t = step(dx, dz, 1.0)
+            mu = xz / n
+            sigma = (float((x + t * dx) @ (z + t * dz)) / n / mu) ** 3
+            dx, dz, deta = direction(x * z + dx * dz - sigma * mu)
+        except np.linalg.LinAlgError:
+            break
+        t = step(dx, dz, 0.99)
+        x, z, eta = x + t * dx, z + t * dz, eta + t * deta
+
+    state = StatePoint(x, alpha)
+    value = aggregate_objective(space, state)
+    gap = value - dual(eta)
     feas = float(np.max(np.abs(A @ x - rho)))
     if max(gap, feas) > tol:
         raise NonconvergenceError(
             f"aggregate solver gap {gap:.3e}, feasibility {feas:.3e} exceed tol {tol:.1e}",
-            state=StatePoint(x, alpha),
+            state=state,
         )
-    return StatePoint(x, alpha), value
-
-
-def _recover_aggregate_primal(space, A, rho, K, eta, alpha, fallback):
-    """Distribute per-class totals implied by eta over argmax members."""
-    ke = _class_rows(space, K @ eta, -np.inf)
-    umax = ke.max(axis=1)
-    on = umax > 0
-    ke, umax = ke[on], umax[on]
-    sel = ke >= (umax - 1e-10 * np.maximum(1.0, np.abs(umax)))[:, None]
-    rows = np.zeros((len(umax), space.num_configs))
-    rows[np.nonzero(sel)[0], space.aggregates.member_table[on][sel]] = 1.0
-    allowed = rows.any(axis=0)
-    if not allowed.any():  # no class has a positive score at eta
-        return project_to_polytope(A, rho, fallback)
-    C = np.vstack([A, rows])[:, allowed]
-    d = np.concatenate([rho, [v ** (1.0 / alpha) for v in umax.tolist()]])
-    try:
-        z = project_to_polytope(C, d, np.maximum(fallback[allowed], 0.0))
-    except NonconvergenceError:
-        return project_to_polytope(A, rho, fallback)
-    x = np.zeros(space.num_configs)
-    x[allowed] = z
-    if float(np.max(np.abs(A @ x - rho))) > 1e-9:
-        return project_to_polytope(A, rho, fallback)
-    return x
+    return state, value
 
 
 def _weight_diffs(xp: np.ndarray, alpha: float, target, base) -> np.ndarray:

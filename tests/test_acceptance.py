@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import scalar_space
 from oracle_grid import grid_search
 from packing_sim.config_space import (
     ResourceProfile,
@@ -40,10 +41,6 @@ from packing_sim.simulator import (
 def _report(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def scalar_space(m):
-    return validate_explicit_configs([(j,) for j in range(1, m + 1)])
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import scalar_space
 from packing_sim.config_space import (
     ConfigSpaceError,
     ResourceProfile,
@@ -11,10 +12,6 @@ from packing_sim.config_space import (
     space_to_dict,
     validate_explicit_configs,
 )
-
-
-def scalar_space(m):
-    return validate_explicit_configs([(j,) for j in range(1, m + 1)])
 
 
 def b3_space():

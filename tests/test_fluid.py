@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import scalar_space
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
@@ -18,10 +19,6 @@ from packing_sim.optimizer import (
     neutral_allocation,
     solve_optimum,
 )
-
-
-def scalar_space(m):
-    return validate_explicit_configs([(j,) for j in range(1, m + 1)])
 
 
 @pytest.fixture(scope="module")

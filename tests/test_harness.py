@@ -1,27 +1,21 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import scalar_space
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
-    validate_explicit_configs,
 )
 from packing_sim.harness import (
     Experiment,
     WindowTooShortError,
     batch_means,
     run_experiment,
-    stationarity_estimate,
 )
 from packing_sim.optimizer import Demand, NonconvergenceError
 from packing_sim.simulator import SimConfig
-
-
-def scalar_space(m):
-    return validate_explicit_configs([(j,) for j in range(1, m + 1)])
 
 
 def base_config(**over):
@@ -57,43 +51,6 @@ class TestBatchMeans:
     def test_short_window_raises(self):
         with pytest.raises(WindowTooShortError, match="extend the horizon"):
             batch_means([1.0, 2.0], num_batches=20)
-
-
-class TestStationarityEstimate:
-    def snaps(self, n=40):
-        out = []
-        for j in range(n):
-            out.append(SimpleNamespace(t=float(j), x={0: 2.0, 1: 1.0 if j % 2 == 0 else 3.0}))
-        return out
-
-    def test_mean_and_se_per_config(self):
-        means, ses = stationarity_estimate(self.snaps(), num_batches=4)
-        assert means == pytest.approx([2.0, 2.0])
-        assert ses[0] == 0.0
-        assert ses[1] == 0.0  # each batch holds the same two-value pattern
-
-    def test_burn_in_filters_early_snapshots(self):
-        snaps = self.snaps(10)
-        means, _ = stationarity_estimate(snaps, burn_in=8.0, num_batches=2)
-        # only t=8 (value 1) and t=9 (value 3) remain
-        assert means[1] == pytest.approx(2.0)
-
-    def test_burn_in_past_end_raises(self):
-        with pytest.raises(WindowTooShortError, match="burn_in"):
-            stationarity_estimate(self.snaps(5), burn_in=100.0)
-
-    def test_sparse_keys_define_width(self):
-        snaps = [SimpleNamespace(t=float(j), x={3: 1.0}) for j in range(8)]
-        means, _ = stationarity_estimate(snaps, num_batches=2)
-        assert means.shape == (4,)
-        assert means == pytest.approx([0.0, 0.0, 0.0, 1.0])
-
-    def test_explicit_width_and_bad_method(self):
-        snaps = self.snaps(8)
-        means, _ = stationarity_estimate(snaps, num_batches=2, num_configs=5)
-        assert means.shape == (5,)
-        with pytest.raises(ValueError, match="method"):
-            stationarity_estimate(snaps, method="spectral")
 
 
 class TestExperimentValidation:

@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
-    validate_explicit_configs,
 )
 from packing_sim.optimizer import (
     Allocation,
     Demand,
     NonconvergenceError,
     StatePoint,
-    _recover_aggregate_primal,
     aggregate_objective,
     class_totals,
     constraint_matrix,
@@ -30,15 +28,22 @@ from packing_sim.optimizer import (
     weight_diff,
 )
 
+from conftest import scalar_space
 from oracle_grid import grid_search
-
-
-def scalar_space(m):
-    return validate_explicit_configs([(j,) for j in range(1, m + 1)])
 
 
 def unit_demand(n=1):
     return Demand(np.ones(n), np.ones(n))
+
+
+def p48_space():
+    return enumerate_configs(ResourceProfile(
+        (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05))))
+
+
+def p428_space():
+    return enumerate_configs(ResourceProfile(
+        (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03))))
 
 
 def b3_instance():
@@ -183,24 +188,30 @@ class TestAggregateSolve:
         assert np.max(np.abs(plain.x - agg.x)) < 1e-6
         assert np.isclose(value, objective(plain), atol=1e-9)
 
-    def test_recovery_without_positive_class_projects_fallback(self):
-        space, demand = b3_instance()
-        A = constraint_matrix(space)
-        fallback = np.full(space.num_configs, 0.1)
-        eta = -np.ones(space.num_types)  # every class score is negative
-        x = _recover_aggregate_primal(space, A, demand.rho, A.T, eta, 2.0, fallback)
-        assert np.array_equal(x, project_to_polytope(A, demand.rho, fallback))
-
     def test_former_no_positive_class_instance_solves(self):
         # The 14th U(.2, 3) demand draw of default_rng(3005) on the
         # 428-config space at alpha 2, where the former dual ascent ended
         # with no class scoring positive and the solve failed.
-        space = enumerate_configs(ResourceProfile(
-            (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03))))
+        space = p428_space()
         rng = np.random.default_rng(3005)
         for _ in range(14):
             demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
         state, value = solve_aggregate_optimum(space, demand, 2.0)
+        assert feasibility_gap(space, state, demand) <= 1e-7
+        assert value == aggregate_objective(space, state)
+
+    # perfbench solve-fluid draws at alpha 0.25 on which the former
+    # projected-gradient solver stopped short of its duality gap.  Draw n
+    # is the n-th U(.2, 3) demand of default_rng(seed); draws 0-9 are on
+    # the 48-config space, draws 10-14 on the 428-config space.
+    @pytest.mark.parametrize("seed,draw", [
+        (1, 10), (3, 1), (4, 1), (4, 10), (5, 10), (6, 0), (6, 10), (9, 0), (9, 10)])
+    def test_former_alpha_quarter_failures_solve(self, seed, draw):
+        space = p428_space() if draw >= 10 else p48_space()
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+        state, value = solve_aggregate_optimum(space, demand, 0.25)
         assert feasibility_gap(space, state, demand) <= 1e-7
         assert value == aggregate_objective(space, state)
 
@@ -210,8 +221,7 @@ class TestAggregateSolve:
 @pytest.mark.parametrize("seed,alpha", [(3, 2.0), (3, 4.0), (5, 4.0)])
 @pytest.mark.parametrize("solver", [solve_optimum, solve_aggregate_optimum])
 def test_solvers_fail_only_with_a_state(solver, seed, alpha):
-    space = enumerate_configs(ResourceProfile(
-        (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05))))
+    space = p48_space()
     rng = np.random.default_rng(seed)
     demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
     try:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import scalar_space
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
@@ -33,10 +34,6 @@ class ScriptedRNG:
 
     def random(self):
         return self.values.pop(0)
-
-
-def scalar_space(m):
-    return validate_explicit_configs([(j,) for j in range(1, m + 1)])
 
 
 def unit_demand(n=1):
