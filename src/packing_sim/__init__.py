@@ -17,7 +17,6 @@ from .config_space import (
     ConfigSpaceError,
     InvariantError,
     ResourceProfile,
-    class_minus_type,
     enumerate_configs,
     space_from_dict,
     space_to_dict,
@@ -95,7 +94,6 @@ __all__ = [
     "WindowTooShortError",
     "aggregate_objective",
     "batch_means",
-    "class_minus_type",
     "derive_seed",
     "drift",
     "enumerate_configs",

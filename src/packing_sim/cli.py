@@ -125,12 +125,7 @@ def cmd_enumerate(args) -> int:
     cfg = _load(args.config)
     space = _space(cfg)
     out = _out_dir(args)
-    doc = space_to_dict(space)
-    doc["num_configs"] = space.num_configs
-    doc["num_edges"] = space.num_edges
-    if space.has_aggregates:
-        doc["num_classes"] = space.aggregates.num_classes
-    _emit(doc, out, "space.json")
+    _emit(space_to_dict(space), out, "space.json")
     return 0
 
 

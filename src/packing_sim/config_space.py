@@ -17,14 +17,15 @@ Conventions used throughout the package:
   of that type present; placements and departures move a server along
   an edge,
 * when a resource profile is available, configurations with identical
-  resource usage are grouped into aggregate classes.  Class id 0 is the
-  zero class; nonzero classes are numbered by lexicographic order of
-  their usage vectors.
+  resource usage are grouped into aggregate classes.  Usage is compared
+  per resource as a share of capacity rounded to 12 decimals, so float
+  sums that differ by rounding share a class.  Class id 0 is the zero
+  class; nonzero classes are numbered by lexicographic order of those
+  shares.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -116,7 +117,8 @@ class AggregateInfo:
 
     ``class_of[t]`` is the class id of configuration index t (always >= 1;
     id 0 is reserved for the zero configuration).  ``members[q]`` lists the
-    configuration indexes of class q, ``usage[q]`` its common usage vector.
+    configuration indexes of class q, ``usage[q]`` the usage vector of its
+    first member (all members agree up to rounding).
     ``plus_type[q][i]`` is the class reached by adding one type-i customer
     (None when that does not fit), ``minus_type[q][i]`` the class reached by
     removing one (None when no member holds type i; 0 means the zero class).
@@ -217,74 +219,52 @@ def _unit(num_types: int, i: int) -> Configuration:
 
 def _build_aggregates(
     configs: tuple[Configuration, ...],
-    index: dict,
+    up_index: tuple[tuple[Optional[int], ...], ...],
+    down_index: tuple[tuple[Optional[int], ...], ...],
+    unit_index: tuple[int, ...],
     profile: ResourceProfile,
-    num_types: int,
 ) -> AggregateInfo:
     usages = [profile.usage(k) for k in configs]
-    # Group configuration indexes by usage vector; class ids follow the
-    # lexicographic order of usage vectors, with 0 kept for the zero class.
+    # Group configuration indexes by usage over capacity, rounded at the
+    # feasibility slack so that 0.15 + 0.05 and 0.1 + 0.1 share a class.
+    # Class ids follow the order of these keys, with 0 kept for the zero
+    # class; members ascend by index, hence by lexicographic order.
     groups: dict[tuple[float, ...], list[int]] = {}
     for t, u in enumerate(usages):
-        groups.setdefault(u, []).append(t)
-    ordered = sorted(groups.items(), key=lambda kv: kv[0])
-    members = [()] + [tuple(ts) for _, ts in ordered]
-    usage = [tuple(0.0 for _ in range(profile.num_resources))] + [u for u, _ in ordered]
-    class_of = [0] * len(configs)
-    for q, (_, ts) in enumerate(ordered, start=1):
+        key = tuple(round(v / c, 12) for v, c in zip(u, profile.capacity))
+        groups.setdefault(key, []).append(t)
+    ordered = [tuple(groups[key]) for key in sorted(groups)]
+    # One trailing 0 so that the zero configuration (-1) maps to class 0.
+    class_of = [0] * (len(configs) + 1)
+    for q, ts in enumerate(ordered, start=1):
         for t in ts:
             class_of[t] = q
-    # Members ascend by index, hence by lexicographic configuration order.
-    width = max(len(ts) for _, ts in ordered)
-    table = np.array([ts + [len(configs)] * (width - len(ts)) for _, ts in ordered])
+    width = max(map(len, ordered))
+    table = np.array([ts + (len(configs),) * (width - len(ts)) for ts in ordered])
     table.flags.writeable = False
 
-    plus_type: list[tuple[Optional[int], ...]] = []
-    minus_type: list[tuple[Optional[int], ...]] = []
-    admit_bases: list[tuple[tuple[int, ...], ...]] = []
-    for q in range(len(members)):
-        prow: list[Optional[int]] = []
-        mrow: list[Optional[int]] = []
-        arow: list[tuple[int, ...]] = []
+    # All members of a class step along +-e_i into one class, so any
+    # admitting (holding) member gives the class reached.
+    num_types = len(unit_index)
+    plus_type = [tuple(class_of[u] for u in unit_index)]
+    minus_type = [(None,) * num_types]
+    admit_bases = [((),) * num_types]
+    for ts in ordered:
+        prow, mrow, arow = [], [], []
         for i in range(num_types):
-            if q == 0:
-                ei = index.get(_unit(num_types, i))
-                prow.append(None if ei is None else class_of[ei])
-                mrow.append(None)
-                arow.append(())
-                continue
-            bases = []
-            target = None
-            for t in members[q]:
-                k = configs[t]
-                up = list(k)
-                up[i] += 1
-                ut = index.get(tuple(up))
-                if ut is not None:
-                    bases.append(t)
-                    target = class_of[ut]
-            prow.append(target)
-            arow.append(tuple(bases))
-            down_class: Optional[int] = None
-            for t in members[q]:
-                k = configs[t]
-                if k[i] >= 1:
-                    dn = list(k)
-                    dn[i] -= 1
-                    if all(v == 0 for v in dn):
-                        down_class = 0
-                    else:
-                        down_class = class_of[index[tuple(dn)]]
-                    break
-            mrow.append(down_class)
+            bases = tuple(t for t in ts if up_index[t][i] is not None)
+            prow.append(class_of[up_index[bases[0]][i]] if bases else None)
+            arow.append(bases)
+            down = next((down_index[t][i] for t in ts if down_index[t][i] is not None), None)
+            mrow.append(None if down is None else class_of[down])
         plus_type.append(tuple(prow))
         minus_type.append(tuple(mrow))
         admit_bases.append(tuple(arow))
 
     return AggregateInfo(
-        class_of=tuple(class_of),
-        members=tuple(members),
-        usage=tuple(usage),
+        class_of=tuple(class_of[:-1]),
+        members=((),) + tuple(ordered),
+        usage=((0.0,) * profile.num_resources,) + tuple(usages[ts[0]] for ts in ordered),
         plus_type=tuple(plus_type),
         minus_type=tuple(minus_type),
         admit_bases=tuple(admit_bases),
@@ -299,62 +279,57 @@ def _assemble(
 ) -> ConfigSpace:
     configs = tuple(sorted(config_set))
     index = {k: t for t, k in enumerate(configs)}
-
-    # Monotonicity and unit-vector presence.
+    units = {k.index(1): t for t, k in enumerate(configs) if sum(k) == 1}
     for i in range(num_types):
-        if _unit(num_types, i) not in index:
+        if i not in units:
             raise ConfigSpaceError(f"unit configuration for type {i} is missing")
-    for k in configs:
-        for i in range(num_types):
-            if k[i] >= 1:
-                down = list(k)
-                down[i] -= 1
-                dkey = tuple(down)
-                if any(dkey) and dkey not in index:
-                    raise ConfigSpaceError(
-                        f"set is not monotone: {k} present but {dkey} missing"
-                    )
+    unit_index = tuple(units[i] for i in range(num_types))
 
+    # The one neighbour pass: k + e_i and k - e_i for every (configuration,
+    # type).  None marks a neighbour outside the space, -1 the zero
+    # configuration; a missing k - e_i breaks monotonicity.
+    up_index: list = []
+    down_index: list = []
+    for t, k in enumerate(configs):
+        up_row: list[Optional[int]] = []
+        down_row: list[Optional[int]] = []
+        for i, ki in enumerate(k):
+            head, tail = k[:i], k[i + 1:]
+            up_row.append(index.get(head + (ki + 1,) + tail))
+            if ki == 0:
+                down_row.append(None)
+            elif t == unit_index[i]:
+                down_row.append(-1)
+            else:
+                down = head + (ki - 1,) + tail
+                base = index.get(down)
+                if base is None:
+                    raise ConfigSpaceError(
+                        f"set is not monotone: {k} present but {down} missing"
+                    )
+                down_row.append(base)
+        up_index.append(tuple(up_row))
+        down_index.append(tuple(down_row))
+    up_index, down_index = tuple(up_index), tuple(down_index)
+
+    # Edge (i, t) exists where t holds type i; edges are ordered by
+    # (type, target index).
     edge_type: list[int] = []
     edge_target: list[int] = []
     edge_base: list[int] = []
     edges_of_type: list[tuple[int, ...]] = []
     for i in range(num_types):
-        per_type = []
-        for t, k in enumerate(configs):
-            if k[i] >= 1:
-                down = list(k)
-                down[i] -= 1
-                dkey = tuple(down)
-                b = index[dkey] if any(dkey) else -1
-                per_type.append(len(edge_type))
+        start = len(edge_type)
+        for t, row in enumerate(down_index):
+            if row[i] is not None:
                 edge_type.append(i)
                 edge_target.append(t)
-                edge_base.append(b)
-        edges_of_type.append(tuple(per_type))
-
-    up_index: list[tuple[Optional[int], ...]] = []
-    down_index: list[tuple[Optional[int], ...]] = []
-    for k in configs:
-        up_row: list[Optional[int]] = []
-        down_row: list[Optional[int]] = []
-        for i in range(num_types):
-            up = list(k)
-            up[i] += 1
-            up_row.append(index.get(tuple(up)))
-            if k[i] >= 1:
-                down = list(k)
-                down[i] -= 1
-                dkey = tuple(down)
-                down_row.append(index[dkey] if any(dkey) else -1)
-            else:
-                down_row.append(None)
-        up_index.append(tuple(up_row))
-        down_index.append(tuple(down_row))
+                edge_base.append(row[i])
+        edges_of_type.append(tuple(range(start, len(edge_type))))
 
     aggregates = None
     if profile is not None:
-        aggregates = _build_aggregates(configs, index, profile, num_types)
+        aggregates = _build_aggregates(configs, up_index, down_index, unit_index, profile)
 
     return ConfigSpace(
         num_types=num_types,
@@ -366,9 +341,9 @@ def _assemble(
         edge_target=tuple(edge_target),
         edge_base=tuple(edge_base),
         edges_of_type=tuple(edges_of_type),
-        up_index=tuple(up_index),
-        down_index=tuple(down_index),
-        unit_index=tuple(index[_unit(num_types, i)] for i in range(num_types)),
+        up_index=up_index,
+        down_index=down_index,
+        unit_index=unit_index,
         edge_by_target=tuple(
             {edge_target[e]: e for e in edges_of_type[i]} for i in range(num_types)
         ),
@@ -464,21 +439,6 @@ def sparse_state(space: ConfigSpace, x) -> dict:
     return {config_key(space.configs[t]): float(v) for t, v in enumerate(x) if v}
 
 
-def class_minus_type(space: ConfigSpace, class_id: int, i: int) -> Optional[int]:
-    """Class reached from ``class_id`` by removing one type-i customer.
-
-    Returns 0 for the zero class and None when no member of the class
-    holds a type-i customer.  Well defined because all members share one
-    usage vector.
-    """
-    agg = _require_aggregates(space)
-    if not 1 <= class_id <= agg.num_classes:
-        raise ConfigSpaceError(f"class id {class_id} out of range")
-    if not 0 <= i < space.num_types:
-        raise ConfigSpaceError(f"type {i} out of range")
-    return agg.minus_type[class_id][i]
-
-
 def _require_aggregates(space: ConfigSpace) -> AggregateInfo:
     if space.aggregates is None:
         raise ConfigSpaceError("space has no aggregate classes (no resource profile)")
@@ -505,18 +465,26 @@ def space_from_dict(d: dict, max_configs: int = 1_000_000) -> ConfigSpace:
     return enumerate_configs(profile, max_configs=max_configs)
 
 
+def space_summary(space: ConfigSpace) -> dict:
+    """The profile (when there is one) and the configurations, from which
+    ``space_from_dict`` rebuilds the space, plus the sizes of its tables."""
+    out = {} if space.profile is None else {"profile": space.profile.to_dict()}
+    out["configs"] = [list(k) for k in space.configs]
+    out["num_configs"] = space.num_configs
+    out["num_edges"] = space.num_edges
+    if space.aggregates is not None:
+        out["num_classes"] = space.aggregates.num_classes
+    return out
+
+
 def space_to_dict(space: ConfigSpace) -> dict:
-    """JSON-ready dump of configurations, edges, and aggregate classes."""
-    out = {
-        "num_types": space.num_types,
-        "configs": [list(k) for k in space.configs],
-        "edges": [
-            {"config": list(space.configs[t]), "type": i}
-            for i, t in zip(space.edge_type, space.edge_target)
-        ],
-    }
-    if space.profile is not None:
-        out["profile"] = space.profile.to_dict()
+    """JSON-ready dump: the summary plus the edges and aggregate classes."""
+    out = space_summary(space)
+    out["num_types"] = space.num_types
+    out["edges"] = [
+        {"config": list(space.configs[t]), "type": i}
+        for i, t in zip(space.edge_type, space.edge_target)
+    ]
     if space.aggregates is not None:
         agg = space.aggregates
         out["classes"] = [

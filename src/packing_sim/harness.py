@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config_space import space_to_dict, sparse_state
+from .config_space import space_summary, sparse_state
 from .optimizer import NonconvergenceError, solve_aggregate_optimum, solve_optimum
 from .simulator import (
     SimConfig,
@@ -26,7 +26,7 @@ from .simulator import (
     write_snapshots_csv,
 )
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 # Per-cell metrics: scalar metrics aggregate to (mean, se, n) across
 # replications; "objective_timeseries" records a per-replication series
@@ -260,7 +260,7 @@ def run_experiment(exp: Experiment, workers: int = 1) -> dict:
     report = {
         "version": REPORT_VERSION,
         "experiment": {
-            "space": space_to_dict(space),
+            "space": space_summary(space),
             "arrival": [float(v) for v in base.demand.arrival],
             "service": [float(v) for v in base.demand.service],
             "alpha": base.alpha,

@@ -289,15 +289,16 @@ def solve_optimum(
     x = _plain_primal(A, rho, alpha)
     if float(np.max(np.abs(A @ x - rho))) > 1e-12:
         x = project_to_polytope(A, rho, x)
-    cert = _certificate_plain(space, x, alpha)
+    state = StatePoint(x, alpha)
+    cert = kkt_certificate(space, state, demand)
     score = max(cert.residual, float(np.max(np.abs(A @ x - rho))))
     if score > tol:
         raise NonconvergenceError(
             f"optimum solver stalled at certificate score {score:.3e} (tol {tol:.1e})",
-            state=StatePoint(x, alpha),
+            state=state,
             certificate=cert,
         )
-    return StatePoint(x, alpha), cert
+    return state, cert
 
 
 def _plain_primal(A, rho, alpha):
@@ -312,9 +313,20 @@ def _plain_primal(A, rho, alpha):
     return np.maximum(A.T @ eta, 0.0) ** (1.0 / alpha)
 
 
-def _certificate_plain(space, x, alpha) -> KktCertificate:
+def kkt_certificate(
+    space: ConfigSpace,
+    state: StatePoint,
+    demand: Demand,
+) -> KktCertificate:
+    """Fit multipliers at a state of F and report the optimality residual.
+
+    eta is fitted by least squares on the support, and the residual is the
+    worst violation of x_k^alpha = max(k . eta, 0).  Feasibility is not
+    part of it (``demand`` is not read); ``feasibility_gap`` measures that.
+    """
+    x = np.maximum(state.x, 0.0)
     K = _config_rows(space)
-    xa = np.maximum(x, 0.0) ** alpha
+    xa = x ** state.alpha
     thr = DEFAULT_SUPPORT_EPS * max(float(np.max(x, initial=0.0)), 1.0)
     support = x > thr
     if np.any(support):
@@ -322,50 +334,6 @@ def _certificate_plain(space, x, alpha) -> KktCertificate:
     else:
         eta = np.zeros(space.num_types)
     residual = float(np.max(np.abs(xa - np.maximum(K @ eta, 0.0))))
-    return KktCertificate(eta=eta, residual=residual)
-
-
-def kkt_certificate(
-    space: ConfigSpace,
-    state: StatePoint,
-    demand: Demand,
-    aggregate: bool = False,
-    support_eps: float = DEFAULT_SUPPORT_EPS,
-) -> KktCertificate:
-    """Fit multipliers at a feasible state and report the optimality residual.
-
-    Plain mode fits eta by least squares on the support and measures the
-    worst violation of x_k^alpha = max(k . eta, 0).  Aggregate mode
-    recovers eta from per-type extremes of the class weight differentials
-    and measures violations of the class-level law (class totals must
-    match the best member score, and members below their class maximum
-    must carry no mass).
-    """
-    x = np.maximum(state.x, 0.0)
-    alpha = state.alpha
-    if not aggregate:
-        return _certificate_plain(space, x, alpha)
-
-    agg = _require_aggregates(space)
-    sa = class_totals(space, x) ** alpha
-    thr = support_eps * max(float(np.max(x, initial=0.0)), 1.0)
-
-    # Class-level weight differential along (class of t, i) for every
-    # configuration t holding type i; sa[0] = 0 stands for the zero class.
-    K = _config_rows(space)
-    cls = np.asarray(agg.class_of)
-    down = np.array([[d or 0 for d in row] for row in agg.minus_type])[cls]
-    delta = sa[cls][:, None] - sa[down]
-    held = (K >= 1) & (x > thr)[:, None]
-    hi = np.where(held, delta, -np.inf).max(axis=0)
-    lo = np.where(held, delta, np.inf).min(axis=0)
-    eta = np.where(hi > 0, hi, np.where(held.any(axis=0), lo, 0.0))
-
-    u = _class_rows(space, np.maximum(K @ eta, 0.0), -np.inf)
-    umax = u.max(axis=1)
-    idle = _class_rows(space, x, 0.0)[u < (umax - 1e-12 * np.maximum(1.0, umax))[:, None]]
-    residual = max(float(np.max(np.abs(sa[1:] - umax))),
-                   max((v ** alpha for v in idle.tolist() if v > 0), default=0.0))
     return KktCertificate(eta=eta, residual=residual)
 
 

@@ -142,7 +142,7 @@ class TestExperiment:
         out = tmp_path / "exp"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert (out / "cells" / "cell00_rep00.csv").exists()
         assert "verdict l2_to_optimum: decreasing=" in capsys.readouterr().out
 
@@ -156,7 +156,7 @@ class TestExperiment:
 
         def fake(exp, workers=1):
             return {
-                "version": 1,
+                "version": 2,
                 "partial": False,
                 "cells": [],
                 "verdicts": {"l2_to_optimum": {"decreasing": False}},
@@ -171,7 +171,7 @@ class TestExperiment:
         import packing_sim.cli as cli_mod
 
         def fake(exp, workers=1):
-            return {"version": 1, "partial": True, "cells": [], "verdicts": {}}
+            return {"version": 2, "partial": True, "cells": [], "verdicts": {}}
 
         monkeypatch.setattr(cli_mod, "run_experiment", fake)
         cfg = write_config(tmp_path, r_grid=[10])

@@ -6,7 +6,6 @@ from conftest import scalar_space
 from packing_sim.config_space import (
     ConfigSpaceError,
     ResourceProfile,
-    class_minus_type,
     enumerate_configs,
     space_from_dict,
     space_to_dict,
@@ -71,6 +70,14 @@ class TestValidateExplicit:
     def test_rejects_non_monotone(self):
         with pytest.raises(ConfigSpaceError, match=r"\(2, 1\).*\(1, 1\)"):
             validate_explicit_configs([(1, 0), (0, 1), (2, 0), (2, 1)])
+
+    def test_names_first_missing_configuration(self):
+        # (0, 1, 2) lacks both (0, 0, 2) and (0, 1, 1), and (1, 1, 1) lacks
+        # (0, 1, 1): configurations are checked in order, then types.
+        configs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 2)]
+        with pytest.raises(ConfigSpaceError) as err:
+            validate_explicit_configs(configs)
+        assert str(err.value) == "set is not monotone: (0, 1, 2) present but (0, 0, 2) missing"
 
     def test_rejects_missing_unit(self):
         with pytest.raises(ConfigSpaceError, match="type 1"):
@@ -179,11 +186,9 @@ class TestAggregates:
         idx = space.config_index
         q1 = agg.class_of[idx((1, 0))]
         q2 = agg.class_of[idx((2, 0))]
-        assert class_minus_type(space, q1, 0) == 0  # down to the zero class
-        assert class_minus_type(space, q2, 0) == q1
-        assert class_minus_type(space, q1, 1) is None
-        with pytest.raises(ConfigSpaceError):
-            class_minus_type(space, 99, 0)
+        assert agg.minus_type[q1][0] == 0  # down to the zero class
+        assert agg.minus_type[q2][0] == q1
+        assert agg.minus_type[q1][1] is None
 
     def test_zero_class_reaches_units(self):
         space = b3_space()
@@ -264,3 +269,59 @@ def test_enumerated_space_invariants(prof):
         assert len(usages) == 1
     assert sorted(t for q in range(1, agg.num_classes + 1) for t in agg.members[q]) \
         == list(range(space.num_configs))
+
+
+def assert_classes_step_together(space):
+    """Every member of a class steps along +-e_i into the one class that
+    plus_type and minus_type name, and members share their usage."""
+    agg = space.aggregates
+    cap = space.profile.capacity
+    for q in range(1, agg.num_classes + 1):
+        usages = np.array([space.profile.usage(space.configs[t]) for t in agg.members[q]])
+        assert np.all(np.ptp(usages, axis=0) <= 1e-12 * np.array(cap))
+        for i in range(space.num_types):
+            ups = {agg.class_of[space.up_index[t][i]]
+                   for t in agg.members[q] if space.up_index[t][i] is not None}
+            downs = {0 if d < 0 else agg.class_of[d] for d in
+                     (space.down_index[t][i] for t in agg.members[q]) if d is not None}
+            assert ups == ({agg.plus_type[q][i]} - {None})
+            assert downs == ({agg.minus_type[q][i]} - {None})
+            assert agg.admit_bases[q][i] == tuple(
+                t for t in agg.members[q] if space.up_index[t][i] is not None)
+
+
+@st.composite
+def fractional_profiles(draw):
+    """Requirements in multiples of 0.05, whose float sums differ by rounding."""
+    num_types = draw(st.integers(1, 4))
+    num_res = draw(st.integers(1, 2))
+    cap = [0.05 * draw(st.integers(10, 20)) for _ in range(num_res)]
+    req = []
+    for _ in range(num_types):
+        row = [0.05 * draw(st.integers(0, 8)) for _ in range(num_res)]
+        if all(v == 0 for v in row):
+            row[draw(st.integers(0, num_res - 1))] = 0.1
+        req.append(tuple(row))
+    return ResourceProfile(tuple(cap), tuple(req))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_profiles())
+def test_fractional_classes_step_together(prof):
+    try:
+        space = enumerate_configs(prof, max_configs=3000)
+    except ConfigSpaceError as exc:
+        assert "cap" in str(exc)
+        return
+    assert_classes_step_together(space)
+
+
+@pytest.mark.parametrize("req,num_classes,largest", [
+    (((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)), 34, 3),
+    (((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03)), 216, 6),
+], ids=["48", "428"])
+def test_profile_classes_step_together(req, num_classes, largest):
+    space = enumerate_configs(ResourceProfile((1.0, 1.0), req))
+    assert space.aggregates.num_classes == num_classes
+    assert max(map(len, space.aggregates.members)) == largest
+    assert_classes_step_together(space)

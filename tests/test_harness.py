@@ -7,6 +7,7 @@ from conftest import scalar_space
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
+    space_from_dict,
 )
 from packing_sim.harness import (
     Experiment,
@@ -89,7 +90,7 @@ class TestRunExperiment:
     def test_report_structure_and_verdict(self):
         exp = Experiment(base=base_config(), r_grid=[50, 200], replications=2)
         report = run_experiment(exp)
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert report["partial"] is False
         assert len(report["cells"]) == 2
         for cell in report["cells"]:
@@ -187,6 +188,20 @@ class TestRunExperiment:
         stats = report["cells"][0]["stats"]["token_fraction"]
         assert 0.0 <= stats["mean"] < 1.0
         assert report["experiment"]["token_rate"] == cfg.token_rate
+
+    @pytest.mark.parametrize("space", [
+        scalar_space(2),
+        enumerate_configs(ResourceProfile((3.0,), ((1.0,), (2.0,)))),
+    ], ids=["k12", "b3"])
+    def test_report_names_the_space(self, space):
+        demand = Demand(np.ones(space.num_types), np.ones(space.num_types))
+        exp = Experiment(base=base_config(space=space, demand=demand, horizon=4.0,
+                                          burn_in=1.0), r_grid=[10])
+        doc = run_experiment(exp)["experiment"]["space"]
+        assert space_from_dict(doc) == space
+        assert doc["num_configs"] == space.num_configs
+        assert doc["num_edges"] == space.num_edges
+        assert ("num_classes" in doc) == space.has_aggregates
 
 
 class TestSolverFailure:

@@ -173,12 +173,6 @@ class TestAggregateSolve:
         _, value = solve_aggregate_optimum(space, demand, 1.0)
         assert value <= aggregate_objective(space, plain) + 1e-9
 
-    def test_aggregate_certificate(self):
-        space, demand = b3_instance()
-        state, _ = solve_aggregate_optimum(space, demand, 1.0)
-        cert = kkt_certificate(space, state, demand, aggregate=True)
-        assert cert.residual <= 1e-6
-
     def test_singleton_classes_match_plain(self):
         prof = ResourceProfile((2.0,), ((1.0,),))
         space = enumerate_configs(prof)
