@@ -26,8 +26,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -196,6 +199,84 @@ class ConfigSpace:
     @property
     def has_aggregates(self) -> bool:
         return self.aggregates is not None
+
+    @cached_property
+    def type_edges(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """Per type i: (first edge, targets, bases) of its edges, the two as
+        index arrays.  Base -1 (an empty server) indexes the last entry of a
+        vector of length n + 1."""
+        target = np.asarray(self.edge_target, dtype=np.intp)
+        base = np.asarray(self.edge_base, dtype=np.intp)
+        return tuple((e[0], target[e[0]:e[-1] + 1], base[e[0]:e[-1] + 1])
+                     for e in self.edges_of_type)
+
+    @cached_property
+    def num_server_states(self) -> int:
+        """Number of pairs (configuration k, held counts h <= k)."""
+        return sum(math.prod(v + 1 for v in k) for k in self.configs)
+
+    @cached_property
+    def server_states(self) -> "ServerStates":
+        """The token engine's table of server states, built once per space.
+
+        Check ``num_server_states`` against a cap before the first access:
+        the table holds that many rows.
+        """
+        return _server_states(self)
+
+
+class ServerStates(NamedTuple):
+    """Flat int32 tables over the server states (k, h): configuration k
+    holding h <= k actual customers, the other k - h slots being tokens.
+
+    The states of k are consecutive from ``first[k]``, in lexicographic
+    order of h: state ``first[k] + sum_i h_i stride[k * I + i]``, so one
+    more type-i customer is the index plus ``stride[k * I + i]``.
+    Indexed state times I plus type, ``held`` holds h_i, ``free`` the
+    k_i - h_i tokens, and ``up``/``down`` the state with the same h in
+    configuration k + e_i or k - e_i (-1 when that configuration is
+    empty, absent or cannot hold h).  ``config_of[c]`` is k.
+    """
+
+    first: array
+    stride: array
+    config_of: array
+    held: array
+    free: array
+    up: array
+    down: array
+
+
+def _server_states(space: ConfigSpace) -> ServerStates:
+    K = np.array(space.configs, dtype=np.intc)
+    radix = K + 1
+    sizes = radix.prod(axis=1, dtype=np.intc)
+    first = np.append(0, sizes).cumsum(dtype=np.intc)
+    S = int(first[-1])
+    stride = sizes[:, None] // radix.cumprod(axis=1, dtype=np.intc)
+    config_of = np.repeat(np.arange(len(K), dtype=np.intc), sizes)
+    local = (np.arange(S, dtype=np.intc) - first[config_of])[:, None]
+    place = stride[config_of]
+    held = local // place % radix[config_of]
+    free = K[config_of] - held
+    # In k +- e_i digit i counts one value more or less, so every higher
+    # digit's place value moves by its count times stride_i.
+    shift = local // (place * radix[config_of]) * place
+
+    def same_held(near, offset):
+        # None (no such config) reads as nan, which fmax turns into -1.
+        near = np.fmax(np.array(near, dtype=float), -1).astype(np.intc)[config_of]
+        return np.where(near >= 0, first[near] + offset, -1)
+
+    up = same_held(space.up_index, local + shift)
+    down = same_held(space.down_index, local - shift)
+    down[free == 0] = -1
+
+    def ints(a):
+        return array("i", a.astype(np.intc).tobytes())
+
+    return ServerStates(ints(first), ints(stride), ints(config_of), ints(held),
+                        ints(free), ints(up), ints(down))
 
 
 def _check_vector(config: Sequence[int], num_types: int) -> Configuration:

@@ -57,7 +57,8 @@ class FluidTrajectory:
 
 
 def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
-    """The greedy re-placement rule as ``flows(x)``: the net rate per edge.
+    """The greedy re-placement rule as ``flows(x)``: per edge, its
+    departure mass ``k_i mu_i x_k`` and its net re-placement rate.
 
     Each type's edges are one contiguous range from ``starts[i]``, so
     per-type minima and sums are ``reduceat`` over those ranges.  Edges
@@ -78,9 +79,10 @@ def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
         m = np.minimum.reduceat(np.where(avail, delta, np.inf), starts)
         tied = delta <= m[edge_type] + DEFAULT_TIE_TOL
         winners = avail & tied
-        moved = np.where(tied, 0.0, coef * xp[target])
+        mass = coef * xp[target]
+        moved = np.where(tied, 0.0, mass)
         share = np.add.reduceat(moved, starts) / np.add.reduceat(winners, starts)
-        return np.where(winners, share[edge_type], -moved)
+        return mass, np.where(winners, share[edge_type], -moved)
 
     return flows
 
@@ -88,9 +90,8 @@ def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
 def greedy_rate_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> Allocation:
     """Placement rates induced by greedy re-placement at the given state:
     each edge's own departure mass plus the net re-placement flow."""
-    x = state.x
-    mass = _edge_mass_coefficients(space, demand) * np.maximum(x, 0.0)[list(space.edge_target)]
-    return Allocation(gamma=mass + _greedy_flows(space, demand, state.alpha)(x))
+    mass, flow = _greedy_flows(space, demand, state.alpha)(state.x)
+    return Allocation(gamma=mass + flow)
 
 
 def integrate(
@@ -103,7 +104,8 @@ def integrate(
 ) -> FluidTrajectory:
     """Euler integration of the greedy fluid dynamics from a feasible state.
 
-    One step is ``x + dt * M @ flows(x)`` with M the configs x edges
+    One step is ``x + dt * M @ flow`` with ``flow`` the net rates of
+    ``flows(x)`` and M the configs x edges
     incidence matrix (+1 at an edge's target, -1 at its base); a step
     that leaves a negative coordinate is clipped and re-projected.
     """
@@ -127,7 +129,7 @@ def integrate(
 
     xs = [x]
     for _ in range(n_steps):
-        x = x + dt * (M @ flows(x))
+        x = x + dt * (M @ flows(x)[1])
         if x.min() < 0.0:
             x = project_to_polytope(A, rho, np.maximum(x, 0.0))
         drifted = np.flatnonzero(~(np.abs(A @ x - rho) < 1e-6))

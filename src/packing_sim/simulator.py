@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, count, repeat
 from operator import mul, truediv
@@ -136,6 +136,29 @@ class SimConfig:
         return self.discipline in _TOKEN_DISCIPLINES
 
 
+def _weights_d(X: list, a: float, configs, up, down) -> None:
+    # Edge (base b, target t) scores X[t]**a - X[b]**a.
+    for t in configs:
+        x = X[t]
+        w = x ** a
+        up[t] = w
+        down[t] = -w if x else math.inf
+
+
+def _weights_i(X: list, a: float, configs, up, down) -> None:
+    # Edge (base b, target t) scores (1 + a) times the change of F: the
+    # increment at t plus the decrement at b.
+    p = 1.0 + a
+    for t in configs:
+        x = X[t]
+        w = x ** p
+        up[t] = (x + 1) ** p - w
+        down[t] = (x - 1) ** p - w if x else math.inf
+
+
+_RULE_WEIGHTS = {"d": _weights_d, "i": _weights_i}
+
+
 @dataclass(eq=False)
 class SystemState:
     """Live counts seen by placement rules.
@@ -143,6 +166,14 @@ class SystemState:
     ``counts[t]`` is the number of servers in configuration t (tokens
     included); ``class_counts`` mirrors it per aggregate class when the
     space has classes (index 0 unused).
+
+    ``weights`` holds, for each plain greedy rule ("d" or "i") that has
+    placed a type of more than ``_SCAN_EDGES`` edges on this state, the two
+    arrays its edge scores add up: edge (b, t) scores ``up[t] + down[b]``,
+    with ``down[b]`` = +inf where b holds no server and a 0.0 sentinel at
+    index n for the empty base -1.  Once a rule has weights, add t to
+    ``stale`` after every change of ``counts[t]``; the next placement
+    recomputes the weights of t.
     """
 
     space: ConfigSpace
@@ -150,6 +181,8 @@ class SystemState:
     counts: list
     class_counts: Optional[list] = None
     t: float = 0.0
+    weights: dict = field(default_factory=dict, init=False, repr=False)
+    stale: set = field(default_factory=set, init=False, repr=False)
 
     @classmethod
     def from_counts(cls, space: ConfigSpace, alpha: float, counts) -> "SystemState":
@@ -164,15 +197,39 @@ class SystemState:
                 cc[agg.class_of[t]] += v
         return cls(space=space, alpha=alpha, counts=counts, class_counts=cc)
 
+    def rule_weights(self, rule: str) -> tuple:
+        """(up, down) of a plain greedy rule at the current counts; built
+        on its first call."""
+        if self.stale:
+            for r, (up, down) in self.weights.items():
+                _RULE_WEIGHTS[r](self.counts, self.alpha, self.stale, up, down)
+            self.stale.clear()
+        w = self.weights.get(rule)
+        if w is None:
+            n = len(self.counts)
+            w = self.weights[rule] = (np.zeros(n + 1), np.zeros(n + 1))
+            _RULE_WEIGHTS[rule](self.counts, self.alpha, range(n), *w)
+        return w
+
+
+# A type with at most this many edges is placed by a loop over its edges.
+# Below about 12 edges numpy's fixed cost per call and the upkeep of the
+# weight arrays exceed the loop; both give the same edge.
+_SCAN_EDGES = 12
+
 
 def place_greedy_d(state: SystemState, i: int) -> int:
     """Edge minimizing the weight differential of the target on raw counts.
 
     Candidates: the unit edge, plus edges whose base configuration holds
     at least one server.  Ties go to the lexicographically smallest
-    target configuration.
+    target configuration (``argmin`` returns the first minimum).
     """
     space = state.space
+    if len(space.edges_of_type[i]) > _SCAN_EDGES:
+        up, down = state.rule_weights("d")
+        first, target, base = space.type_edges[i]
+        return first + int((up[target] + down[base]).argmin())
     X = state.counts
     a = state.alpha
     best = math.inf
@@ -193,8 +250,14 @@ def place_greedy_d(state: SystemState, i: int) -> int:
 def place_greedy_i(state: SystemState, i: int) -> int:
     """Edge whose placement increases the objective F the least."""
     space = state.space
-    X = state.counts
     p = 1.0 + state.alpha
+    if len(space.edges_of_type[i]) > _SCAN_EDGES:
+        up, down = state.rule_weights("i")
+        first, target, base = space.type_edges[i]
+        score = up[target] + down[base]
+        score /= p
+        return first + int(score.argmin())
+    X = state.counts
     best = math.inf
     best_e = -1
     for e in space.edges_of_type[i]:
@@ -231,7 +294,7 @@ def place_greedy_ac(state: SystemState, i: int, rng) -> tuple[int, int]:
     a = state.alpha
     best = math.inf
     best_q = -1
-    for q in range(agg.num_classes + 1):
+    for q in range(len(agg.plus_type)):
         tq = agg.plus_type[q][i]
         if tq is None:
             continue
@@ -426,6 +489,14 @@ class Simulation:
         self.state = SystemState(
             space=space, alpha=config.alpha, counts=self.X, class_counts=self.S
         )
+        self._weights = self.state.weights
+        self._stale = self.state.stale
+        # Under a closed plain greedy rule a re-placement is a function of X
+        # and the departed edge alone.  ``_stay`` holds the departed edges
+        # whose re-placement went back to them at the current X.
+        self._memo = self._closed and not (
+            config.alt_placement is not None or config.discipline in _CLASS_DISCIPLINES)
+        self._stay = set()
         self.Y = [0] * I
         self.Yhat = [0] * I
         self.Ytilde = [0] * I
@@ -500,9 +571,18 @@ class Simulation:
     # -- low-level count updates ------------------------------------------
 
     def _bump(self, t_idx: int, delta: int, push: bool = True):
+        """Change X[t_idx] by delta, with the class totals, the staleness of
+        the placement weights, the memo of re-placements and (``push``) the
+        edge leaves.  The memo is replaced, not cleared: a closed
+        re-placement that goes back to its edge restores X and the memo it
+        held before."""
         self.X[t_idx] += delta
         if self.S is not None:
             self.S[self._class_of[t_idx]] += delta
+        if self._weights:
+            self._stale.add(t_idx)
+        if self._stay:
+            self._stay = set()
         if push:
             self._push(t_idx)
 
@@ -523,59 +603,25 @@ class Simulation:
     def _build_complete(self, cap: int):
         """Complete server states: (config k, held actual customers h <= k).
 
-        State c = _cc_first[k] + sum_i h_i _cc_stride[k * I + i], the h of a
-        config in lexicographic order: one more type-i customer is c + stride.
-        Flat tables indexed c * I + i hold h_i (``_cc_held``), the k_i - h_i
-        tokens (``_cc_free``), and the state with the same h in config k + e_i
-        or k - e_i (``_cc_up``, ``_cc_down``; -1 when that config is empty,
-        absent or cannot hold h).  ``_cc_config[c]`` is k; a server in state c
+        The tables of ``ConfigSpace.server_states`` are shared by every
+        engine on the space; ``_cc_*`` name them here.  A server in state c
         leaves at rate ``_cc_rate[c]``: held_i mu_i per type for actual
         departures plus free_i mu0 for token expiries.
         """
         space = self.space
-        K = np.array(space.configs, dtype=np.intc)
-        radix = K + 1
-        sizes = radix.prod(axis=1, dtype=float)
-        if sizes.sum() > cap:  # summed in floats, which do not wrap around
+        if space.num_server_states > cap:
             raise ConfigSpaceError(f"token bookkeeping needs more than {cap} server states")
-        sizes = sizes.astype(np.intc)
-        first = np.append(0, sizes).cumsum(dtype=np.intc)
-        S = int(first[-1])
-        stride = sizes[:, None] // radix.cumprod(axis=1, dtype=np.intc)
-        config_of = np.repeat(np.arange(len(K), dtype=np.intc), sizes)
-        local = (np.arange(S, dtype=np.intc) - first[config_of])[:, None]
-        place = stride[config_of]
-        held = local // place % radix[config_of]
-        free = K[config_of] - held
-        # In k +- e_i digit i counts one value more or less, so every higher
-        # digit's place value moves by its count times stride_i.
-        shift = local // (place * radix[config_of]) * place
-
-        def same_held(near, offset):
-            # None (no such config) reads as nan, which fmax turns into -1.
-            near = np.fmax(np.array(near, dtype=float), -1).astype(np.intc)[config_of]
-            return np.where(near >= 0, first[near] + offset, -1)
-
-        up = same_held(space.up_index, local + shift)
-        down = same_held(space.down_index, local - shift)
-        down[free == 0] = -1
+        (self._cc_first, self._cc_stride, self._cc_config, self._cc_held,
+         self._cc_free, self._cc_up, self._cc_down) = space.server_states
+        S = len(self._cc_config)
+        held = np.frombuffer(self._cc_held, dtype=np.intc).reshape(S, -1)
+        free = np.frombuffer(self._cc_free, dtype=np.intc).reshape(S, -1)
         mu0 = float(self.config.token_rate)
         # Summed type by type, as a Python sum over held_i mu_i would.
         rate = np.zeros(S)
         for i, m in enumerate(self._mu):
             rate += held[:, i] * m
         rate += free.sum(axis=1) * mu0
-
-        def ints(a):
-            return array("i", a.astype(np.intc).tobytes())
-
-        self._cc_first = ints(first)
-        self._cc_stride = ints(stride)
-        self._cc_config = ints(config_of)
-        self._cc_held = ints(held)
-        self._cc_free = ints(free)
-        self._cc_up = ints(up)
-        self._cc_down = ints(down)
         self._cc_rate = array("d", rate.tobytes())
         self._mu0 = mu0
         self.Xc = [0] * S
@@ -601,6 +647,8 @@ class Simulation:
         self.X[k_idx] += delta
         if self.S is not None:
             self.S[self._class_of[k_idx]] += delta
+        if self._weights:
+            self._stale.add(k_idx)
         _tree_set(self._tree, self._cc_leaf0 + c, self._cc_rate[c] * x)
         p = self._rep_size + c
         j = c * self._ntypes
@@ -757,6 +805,12 @@ class Simulation:
             (self.act_dep if actual else self.exp_dep)[e] += 1
         else:
             e = leaf - I
+            stay = self._stay
+            if e in stay:
+                # The last re-placement from e went back to e at this same X.
+                self.departures[e] += 1
+                self.arrivals[e] += 1
+                return
             i = space.edge_type[e]
             actual = True
             self._shift(e, -1, push=not self._closed)
@@ -772,11 +826,15 @@ class Simulation:
         # behind (token mode).
         e2 = self._put(i, departed_edge=e, actual=not self._tokens)
         if self._closed and e2 != e:
-            # Most re-placements go back to e and leave every leaf as it was.
             for t in (space.edge_target[e], space.edge_base[e],
                       space.edge_target[e2], space.edge_base[e2]):
                 if t >= 0:
                     self._push(t)
+        elif self._memo:
+            # Most re-placements go back to e: X, every leaf and so every
+            # memoised re-placement are as they were before the event.
+            stay.add(e)
+            self._stay = stay
         self.arrivals[e2] += 1
         self.Y[i] += 1
         if self._tokens:

@@ -2,9 +2,11 @@
 
 A differential oracle for ``packing_sim.simulator``: the classes and
 functions below are the engine as it was when every event re-summed the
-whole rate table and scanned it linearly.  Seeded runs of the current
-engine must produce byte-identical summaries to ``run`` here.  Do not
-edit this file to follow changes of the engine; it is the reference.
+whole rate table and scanned it linearly, and every placement rule
+scanned the edges or classes of the type one by one; no placement code
+is shared with the engine.  Seeded runs of the current engine must
+produce byte-identical summaries to ``run`` here.  Do not edit this
+file to follow changes of the engine; it is the reference.
 """
 
 from __future__ import annotations
@@ -25,10 +27,110 @@ from packing_sim.simulator import (
     Snapshot,
     SystemState,
     _round_half_up,
-    place_alt,
-    place_greedy_d,
-    place_greedy_i,
 )
+
+
+def place_greedy_d(state: SystemState, i: int) -> int:
+    """Edge minimizing the weight differential of the target on raw counts.
+
+    Candidates: the unit edge, plus edges whose base configuration holds
+    at least one server.  Ties go to the lexicographically smallest
+    target configuration.
+    """
+    space = state.space
+    X = state.counts
+    a = state.alpha
+    best = math.inf
+    best_e = -1
+    for e in space.edges_of_type[i]:
+        b = space.edge_base[e]
+        if b >= 0 and X[b] <= 0:
+            continue
+        score = X[space.edge_target[e]] ** a
+        if b >= 0:
+            score -= X[b] ** a
+        if score < best:
+            best = score
+            best_e = e
+    return best_e
+
+
+def place_greedy_i(state: SystemState, i: int) -> int:
+    """Edge whose placement increases the objective F the least."""
+    space = state.space
+    X = state.counts
+    p = 1.0 + state.alpha
+    best = math.inf
+    best_e = -1
+    for e in space.edges_of_type[i]:
+        b = space.edge_base[e]
+        if b >= 0 and X[b] <= 0:
+            continue
+        xt = X[space.edge_target[e]]
+        score = (xt + 1) ** p - xt ** p
+        if b >= 0:
+            xb = X[b]
+            score += (xb - 1) ** p - xb ** p
+        score /= p
+        if score < best:
+            best = score
+            best_e = e
+    return best_e
+
+
+def _edge_weight_diff(space, X, a: float, e: int) -> float:
+    b = space.edge_base[e]
+    v = X[space.edge_target[e]] ** a
+    if b >= 0:
+        v -= X[b] ** a
+    return v
+
+
+def place_alt(
+    state: SystemState,
+    i: int,
+    departed_edge: int,
+    rng,
+    epsilon: float,
+    mix: float = 0.0,
+) -> int:
+    """Departure-anchored placement: move only to a strictly lighter edge.
+
+    Draws one candidate (unit edge with probability epsilon, otherwise
+    the edge above a count-weighted random occupied server) and compares
+    weight differentials against the departed edge on current counts.
+    Falls through to the standard greedy rule with probability ``mix``.
+    """
+    if mix > 0.0 and rng.random() < mix:
+        return place_greedy_d(state, i)
+    space = state.space
+    X = state.counts
+    a = state.alpha
+    cand = -1
+    if rng.random() < epsilon:
+        cand = space.edge_by_target[i][space.unit_index[i]]
+    else:
+        total = 0
+        for v in X:
+            total += v
+        if total > 0:
+            u = rng.random() * total
+            acc = 0
+            chosen = -1
+            for t, v in enumerate(X):
+                acc += v
+                if u < acc:
+                    chosen = t
+                    break
+            up = space.up_index[chosen][i]
+            if up is not None:
+                cand = space.edge_by_target[i][up]
+    if cand >= 0 and cand != departed_edge:
+        if _edge_weight_diff(space, X, a, cand) < _edge_weight_diff(
+            space, X, a, departed_edge
+        ):
+            return cand
+    return departed_edge
 
 
 def place_greedy_ac(state: SystemState, i: int, rng, mode: str = "D") -> tuple[int, int]:

@@ -54,10 +54,13 @@ CASES = {
                                  alt_placement=AltPlacement(0.5))),
     "b3-token-ac": (b3, dict(r=1000, seed=4, horizon=20.0, burn_in=5.0, mode="open",
                              discipline="greedy-dm-ac", token_rate=20.0)),
+    "b3-closed-d": (b3, dict(r=1000, seed=10, horizon=20.0, burn_in=5.0)),
     "b3-open-i": (lambda: b3((0.7, 1.3)), dict(r=1000, seed=5, horizon=20.0, burn_in=5.0,
                                                mode="open", discipline="greedy-i")),
     "p48-closed-d-ac": (p48_uniform, dict(r=500, seed=6, horizon=4.0, burn_in=1.0,
                                           sample_interval=0.2, discipline="greedy-d-ac")),
+    "p48-closed-i": (p48_uniform, dict(r=500, seed=11, horizon=4.0, burn_in=1.0,
+                                       sample_interval=0.2, discipline="greedy-i")),
     "p48-token": (p48_uniform, dict(r=200, seed=7, horizon=4.0, burn_in=1.0,
                                     sample_interval=0.2, mode="open",
                                     discipline="greedy-dm", token_rate=1.7)),
