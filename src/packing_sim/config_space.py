@@ -469,8 +469,6 @@ def enumerate_configs(profile: ResourceProfile, max_configs: int = 1_000_000) ->
             rem = nxt
 
     extend([], cap, 0)
-    if not found:
-        raise ConfigSpaceError("no nonzero feasible configurations")
     return _assemble(num_types, found, profile)
 
 

@@ -36,6 +36,11 @@ import numpy as np
 from .config_space import ConfigSpace, _require_aggregates
 
 DEFAULT_SUPPORT_EPS = 1e-9
+# Acceptance bounds of the F and Phi solves, the distance from the polytope
+# past which a state has no neutral allocation, and the mass (and weight
+# difference) read as zero by the drift search and by the class check.
+_PLAIN_TOL, _AGGREGATE_TOL, _NEUTRAL_FEAS_TOL = 1e-9, 1e-7, 1e-6
+_DRIFT_ZERO_TOL, _CLASS_ZERO_TOL = 1e-12, 1e-9
 
 
 class NonconvergenceError(RuntimeError):
@@ -271,7 +276,6 @@ def solve_optimum(
     space: ConfigSpace,
     demand: Demand,
     alpha: float,
-    tol: float = 1e-9,
 ) -> tuple[StatePoint, KktCertificate]:
     """Minimize F over the feasible polytope.
 
@@ -280,7 +284,7 @@ def solve_optimum(
     moves tiny coordinates by as much as large ones, which costs their
     x^alpha its precision when alpha < 1).  The returned certificate is
     re-derived from x and must satisfy max(optimality residual,
-    feasibility gap) <= tol, otherwise ``NonconvergenceError`` carries it.
+    feasibility gap) <= 1e-9, otherwise ``NonconvergenceError`` carries it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -292,9 +296,9 @@ def solve_optimum(
     state = StatePoint(x, alpha)
     cert = kkt_certificate(space, state, demand)
     score = max(cert.residual, float(np.max(np.abs(A @ x - rho))))
-    if score > tol:
+    if score > _PLAIN_TOL:
         raise NonconvergenceError(
-            f"optimum solver stalled at certificate score {score:.3e} (tol {tol:.1e})",
+            f"optimum solver stalled at certificate score {score:.3e} (tol {_PLAIN_TOL:.1e})",
             state=state,
             certificate=cert,
         )
@@ -341,7 +345,6 @@ def solve_aggregate_optimum(
     space: ConfigSpace,
     demand: Demand,
     alpha: float,
-    tol: float = 1e-7,
 ) -> tuple[StatePoint, float]:
     """Minimize the class-total objective Phi over the feasible polytope.
 
@@ -359,7 +362,7 @@ def solve_aggregate_optimum(
     or when the reduced system turns singular.  Phi fixes only class
     totals, and x, which stays positive, is near the analytic centre of the
     optimal face.  Acceptance requires duality gap and feasibility within
-    tol.
+    1e-7.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -423,9 +426,10 @@ def solve_aggregate_optimum(
     value = aggregate_objective(space, state)
     gap = value - dual(eta)
     feas = float(np.max(np.abs(A @ x - rho)))
-    if max(gap, feas) > tol:
+    if max(gap, feas) > _AGGREGATE_TOL:
         raise NonconvergenceError(
-            f"aggregate solver gap {gap:.3e}, feasibility {feas:.3e} exceed tol {tol:.1e}",
+            f"aggregate solver gap {gap:.3e}, feasibility {feas:.3e} "
+            f"exceed tol {_AGGREGATE_TOL:.1e}",
             state=state,
         )
     return state, value
@@ -457,16 +461,14 @@ def _edge_mass_coefficients(space: ConfigSpace, demand: Demand) -> np.ndarray:
     return constraint_matrix(space)[i, list(space.edge_target)] * demand.service[i]
 
 
-def neutral_allocation(
-    space: ConfigSpace, state: StatePoint, demand: Demand, feas_tol: float = 1e-6
-) -> Allocation:
+def neutral_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> Allocation:
     """Allocation that routes every edge's departure mass back to itself.
 
     Its drift is identically zero.  Raises when the state is farther than
-    ``feas_tol`` from the feasible polytope.
+    1e-6 from the feasible polytope.
     """
     gap = feasibility_gap(space, state, demand)
-    if gap > feas_tol:
+    if gap > _NEUTRAL_FEAS_TOL:
         raise ValueError(f"state is off the feasible polytope by {gap:.3e}")
     coef = _edge_mass_coefficients(space, demand)
     gamma = coef * np.maximum(state.x, 0.0)[list(space.edge_target)]
@@ -480,10 +482,7 @@ def drift(space: ConfigSpace, alloc: Allocation, state: StatePoint, demand: Dema
 
 
 def simple_improving_allocations(
-    space: ConfigSpace,
-    state: StatePoint,
-    demand: Demand,
-    zero_tol: float = 1e-12,
+    space: ConfigSpace, state: StatePoint, demand: Demand
 ) -> list[tuple[Allocation, tuple[int, int]]]:
     """All single-swap reallocations with strictly smaller weight differential.
 
@@ -500,13 +499,13 @@ def simple_improving_allocations(
     for i in range(space.num_types):
         edges = space.edges_of_type[i]
         for e1 in edges:
-            if x[space.edge_target[e1]] <= zero_tol:
+            if x[space.edge_target[e1]] <= _DRIFT_ZERO_TOL:
                 continue
             for e2 in edges:
                 if e2 == e1:
                     continue
                 b2 = space.edge_base[e2]
-                if b2 >= 0 and x[b2] <= zero_tol:
+                if b2 >= 0 and x[b2] <= _DRIFT_ZERO_TOL:
                     continue
                 if deltas[e2] < deltas[e1]:
                     gamma = neutral.gamma.copy()
@@ -516,29 +515,21 @@ def simple_improving_allocations(
     return out
 
 
-def min_drift(
-    space: ConfigSpace,
-    state: StatePoint,
-    demand: Demand,
-    zero_tol: float = 1e-12,
-) -> float:
+def min_drift(space: ConfigSpace, state: StatePoint, demand: Demand) -> float:
     """Smallest drift over the neutral and all simple improving allocations.
 
     Zero exactly when the state is the objective minimizer; strictly
     negative otherwise.
     """
     best = 0.0
-    for alloc, (e1, e2) in simple_improving_allocations(space, state, demand, zero_tol):
+    for alloc, (e1, e2) in simple_improving_allocations(space, state, demand):
         d = drift(space, alloc, state, demand)
         best = min(best, d)
     return best
 
 
 def no_simple_improvement(
-    space: ConfigSpace,
-    state: StatePoint,
-    zero_tol: float = 1e-9,
-    delta_tol: float = 1e-9,
+    space: ConfigSpace, state: StatePoint
 ) -> tuple[bool, Optional[tuple[tuple[int, int], tuple[int, int]]]]:
     """Class-level check that no mass can move to a lighter same-type edge.
 
@@ -561,7 +552,7 @@ def no_simple_improvement(
         qs = [q for q in range(1, nq + 1) if agg.minus_type[q][i] is not None]
         for q in qs:
             donors = any(
-                space.configs[t][i] >= 1 and x[t] > zero_tol for t in agg.members[q]
+                space.configs[t][i] >= 1 and x[t] > _CLASS_ZERO_TOL for t in agg.members[q]
             )
             if not donors:
                 continue
@@ -569,9 +560,9 @@ def no_simple_improvement(
             for qp in qs:
                 if qp == q:
                     continue
-                if delta_qi(qp, i) >= dq - delta_tol:
+                if delta_qi(qp, i) >= dq - _CLASS_ZERO_TOL:
                     continue
                 down = agg.minus_type[qp][i]
-                if down == 0 or s[down] > zero_tol:
+                if down == 0 or s[down] > _CLASS_ZERO_TOL:
                     return False, ((q, i), (qp, i))
     return True, None

@@ -164,8 +164,8 @@ class SystemState:
     """Live counts seen by placement rules.
 
     ``counts[t]`` is the number of servers in configuration t (tokens
-    included); ``class_counts`` mirrors it per aggregate class when the
-    space has classes (index 0 unused).
+    included); ``class_counts`` mirrors it per aggregate class (index 0
+    unused).  An engine keeps it only for the class-level rules, its readers.
 
     ``weights`` holds, for each plain greedy rule ("d" or "i") that has
     placed a type of more than ``_SCAN_EDGES`` edges on this state, the two
@@ -276,6 +276,17 @@ def place_greedy_i(state: SystemState, i: int) -> int:
     return best_e
 
 
+def _pick(items, weight, u):
+    """First item whose cumulative integer weight exceeds ``u``: the draw
+    ``u = random() * total`` picks an item with probability weight / total."""
+    acc = 0
+    for t in items:
+        acc += weight[t]
+        if u < acc:
+            return t
+    raise InvariantError(f"draw {u!r} at or past the total weight {acc}")
+
+
 def place_greedy_ac(state: SystemState, i: int, rng) -> tuple[int, int]:
     """Class-level greedy placement.
 
@@ -283,7 +294,7 @@ def place_greedy_ac(state: SystemState, i: int, rng) -> tuple[int, int]:
     class totals, then draws the concrete base server uniformly within
     the winning class, weighted by counts of members that can accept the
     type.  Returns (class id, edge index); class id 0 means a previously
-    empty server.
+    empty server, and always qualifies through the unit configuration.
     """
     space = state.space
     agg = space.aggregates
@@ -312,22 +323,13 @@ def place_greedy_ac(state: SystemState, i: int, rng) -> tuple[int, int]:
         if score < best:
             best = score
             best_q = q
-    if best_q < 0:
-        raise RuntimeError("no feasible placement class")
     if best_q == 0:
         return 0, space.edge_by_target[i][space.unit_index[i]]
-    best_bases = [t for t in agg.admit_bases[best_q][i] if X[t] > 0]
+    bases = agg.admit_bases[best_q][i]
     total = 0
-    for t in best_bases:
+    for t in bases:
         total += X[t]
-    u = rng.random() * total
-    acc = 0
-    chosen = best_bases[-1]
-    for t in best_bases:
-        acc += X[t]
-        if u < acc:
-            chosen = t
-            break
+    chosen = _pick(bases, X, rng.random() * total)
     return best_q, space.edge_by_target[i][space.up_index[chosen][i]]
 
 
@@ -363,19 +365,9 @@ def place_alt(
     if rng.random() < epsilon:
         cand = space.edge_by_target[i][space.unit_index[i]]
     else:
-        total = 0
-        for v in X:
-            total += v
+        total = sum(X)
         if total > 0:
-            u = rng.random() * total
-            acc = 0
-            chosen = -1
-            for t, v in enumerate(X):
-                acc += v
-                if u < acc:
-                    chosen = t
-                    break
-            up = space.up_index[chosen][i]
+            up = space.up_index[_pick(range(len(X)), X, rng.random() * total)][i]
             if up is not None:
                 cand = space.edge_by_target[i][up]
     if cand >= 0 and cand != departed_edge:
@@ -458,11 +450,12 @@ class Simulation:
     either one leaf per edge e with weight k_i mu_i X_k (closed and open
     mode), or one leaf per complete server state c with weight R_c Xc[c],
     R_c being the summed rate of the departure and expiry rows of c
-    (token mode).  Counts push their leaves on every change (``_bump``,
-    ``_cc_move``), so the total rate is the root and one draw walks down
-    the tree: an event costs O(I log n) for I types and n leaves.  Token
-    replacements draw the replaced token from one such tree per type, over
-    the complete states weighted by their free type-i slots.  Each step
+    (token mode).  ``_bump`` is the only writer of X and the class totals
+    S; counts push their leaves on every change (``_bump``, ``_cc_move``),
+    so the total rate is the root and one draw walks down the tree: an
+    event costs O(I log n) for I types and n leaves.  Token replacements
+    draw the replaced token from one such tree per type, over the complete
+    states weighted by their free type-i slots.  Each step
     checks the root against the O(I) formula of ``_analytic_rate``.
     """
 
@@ -481,7 +474,8 @@ class Simulation:
         self._closed = config.mode == "closed"
         self._tokens = config.uses_tokens
         self.X = [0] * n
-        if space.has_aggregates:
+        # Class totals are kept for the class-level rules, their only reader.
+        if config.discipline in _CLASS_DISCIPLINES:
             self.S = [0] * (space.aggregates.num_classes + 1)
             self._class_of = space.aggregates.class_of
         else:
@@ -631,24 +625,25 @@ class Simulation:
         self._rep_trees = [[0] * (2 * self._rep_size) for _ in range(space.num_types)]
 
     def _cc_move(self, c_from: int, c_to: int):
-        """Move one server between complete states, updating projections."""
-        if c_from == c_to:
-            return
+        """Move one server between complete states (-1: no server).  The
+        configuration counts change only with the configuration: a token
+        replacement keeps it."""
+        k_from = k_to = -1
         if c_from >= 0:
-            self._cc_add(c_from, -1)
+            k_from = self._cc_config[c_from]
+            self._cc_set(c_from, self.Xc[c_from] - 1)
         if c_to >= 0:
-            self._cc_add(c_to, +1)
+            k_to = self._cc_config[c_to]
+            self._cc_set(c_to, self.Xc[c_to] + 1)
+        if k_from != k_to:
+            if k_from >= 0:
+                self._bump(k_from, -1, push=False)
+            if k_to >= 0:
+                self._bump(k_to, 1, push=False)
 
-    def _cc_add(self, c: int, delta: int):
-        """Add delta servers in state c and push its leaves."""
-        x = self.Xc[c] + delta
+    def _cc_set(self, c: int, x: int):
+        """Set Xc[c] to x and push its event and replacement leaves."""
         self.Xc[c] = x
-        k_idx = self._cc_config[c]
-        self.X[k_idx] += delta
-        if self.S is not None:
-            self.S[self._class_of[k_idx]] += delta
-        if self._weights:
-            self._stale.add(k_idx)
         _tree_set(self._tree, self._cc_leaf0 + c, self._cc_rate[c] * x)
         p = self._rep_size + c
         j = c * self._ntypes
@@ -678,21 +673,8 @@ class Simulation:
             self._cc_move(-1, c + self._cc_stride[t2 * self._ntypes + i] if actual else c)
         else:
             # A server in config b2, drawn by its count, takes the customer.
-            Xc = self.Xc
-            states = range(self._cc_first[b2], self._cc_first[b2 + 1])
-            u = self.rng.random() * self.X[b2]
-            acc = 0
-            chosen = -1
-            for c in states:
-                acc += Xc[c]
-                if u < acc:
-                    chosen = c
-                    break
-            if chosen < 0:
-                for c in reversed(states):
-                    if Xc[c] > 0:
-                        chosen = c
-                        break
+            chosen = _pick(range(self._cc_first[b2], self._cc_first[b2 + 1]), self.Xc,
+                           self.rng.random() * self.X[b2])
             nxt = self._cc_up[chosen * self._ntypes + i]
             if actual:
                 nxt += self._cc_stride[t2 * self._ntypes + i]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from packing_sim import optimizer
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
@@ -149,6 +150,27 @@ class TestSolveOptimum:
         state, _ = solve_optimum(space, d, 0.5)
         _, x_grid = grid_search(space, d, 0.5, step=2e-3)
         assert np.max(np.abs(state.x - x_grid)) < 4e-3
+
+    def test_newton_point_off_the_polytope_is_projected(self, monkeypatch):
+        # perfbench solve-fluid seed 3, draw 14: the 15th U(.2, 3) demand of
+        # default_rng(3), on the 428-config space at alpha 4.  Dual Newton's
+        # x misses A x = rho by 1e-5; its projection passes the certificate.
+        rng = np.random.default_rng(3)
+        for _ in range(15):
+            demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+        space = p428_space()
+        calls = []
+        real = optimizer.project_to_polytope
+
+        def spy(A, b, z):
+            calls.append(float(np.max(np.abs(A @ z - b))))
+            return real(A, b, z)
+
+        monkeypatch.setattr(optimizer, "project_to_polytope", spy)
+        state, cert = solve_optimum(space, demand, 4.0)
+        assert len(calls) == 1 and calls[0] > 1e-6
+        assert feasibility_gap(space, state, demand) <= 1e-9
+        assert cert.residual <= 1e-9
 
     def test_certificate_flags_non_optimal_point(self):
         space = scalar_space(2)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import scalar_space
 from packing_sim.config_space import (
+    InvariantError,
     ResourceProfile,
     enumerate_configs,
     validate_explicit_configs,
@@ -16,6 +17,7 @@ from packing_sim.simulator import (
     SimConfig,
     Simulation,
     SystemState,
+    _pick,
     derive_seed,
     place_alt,
     place_greedy_ac,
@@ -420,6 +422,40 @@ class TestTokenRuns:
         res = run(cfg)
         assert res.summary["conservation_error"] == 0.0
         assert res.summary["n_events"] > 0
+
+
+class TestCountWriter:
+    """``_bump`` alone writes X, the class totals and the stale set."""
+
+    def test_token_replacement_keeps_counts_and_weights(self):
+        space = enumerate_configs(ResourceProfile(
+            (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05))))
+        sim = Simulation(SimConfig(space=space, demand=unit_demand(4), r=30, alpha=1.0,
+                                   mode="open", discipline="greedy-dm", seed=3))
+        while not (sim.state.weights and any(sim.Ytilde)):
+            assert sim.step()
+        sim.state.rule_weights("d")  # brings every weight up to date
+        i = next(j for j, v in enumerate(sim.Ytilde) if v)
+        x_before = list(sim.X)
+        sim._apply(sum(sim._arr_rate[:i]) + 0.5 * sim._arr_rate[i])  # type-i arrival
+        assert sum(sim.rep_arr) == 1
+        # The server changes state, not configuration.
+        assert sim.X == x_before
+        assert not sim.state.stale
+
+    @pytest.mark.parametrize("discipline,mode", [("greedy-d", "closed"),
+                                                 ("greedy-dm", "open")])
+    def test_plain_rules_keep_no_class_totals(self, discipline, mode):
+        space, demand = b3_instance()
+        sim = Simulation(SimConfig(space=space, demand=demand, r=20, alpha=1.0,
+                                   mode=mode, discipline=discipline, seed=1))
+        assert sim.state.class_counts is None
+
+    def test_pick_draws_by_cumulative_weight(self):
+        weights = [2, 0, 3]
+        assert [_pick(range(3), weights, u) for u in (0.0, 1.99, 2.0, 4.99)] == [0, 0, 2, 2]
+        with pytest.raises(InvariantError, match="past the total"):
+            _pick(range(3), weights, 5.0)
 
 
 class TestDeterminism:

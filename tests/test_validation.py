@@ -1,0 +1,114 @@
+"""Every input check raises with its own message."""
+
+import argparse
+import json
+
+import numpy as np
+import pytest
+
+from conftest import scalar_space
+from packing_sim import cli
+from packing_sim.config_space import (
+    ConfigSpaceError,
+    ResourceProfile,
+    enumerate_configs,
+    validate_explicit_configs,
+)
+from packing_sim.fluid import token_odes
+from packing_sim.optimizer import (
+    Demand,
+    StatePoint,
+    neutral_allocation,
+    solve_aggregate_optimum,
+    solve_optimum,
+)
+from packing_sim.simulator import AltPlacement, SimConfig, SystemState
+
+B3 = ResourceProfile((3.0,), ((1.0,), (2.0,)))
+K12_CFG = {"space": {"configs": [[1], [2]]}, "arrival": [1.0], "service": [1.0]}
+
+
+def unit_demand(n=1):
+    return Demand(np.ones(n), np.ones(n))
+
+
+def sim_config(**kw):
+    return SimConfig(**{"space": scalar_space(2), "demand": unit_demand(), "r": 10.0,
+                        "alpha": 1.0, **kw})
+
+
+def write_json(tmp_path, obj):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def cli_sim_config(cfg):
+    return cli._sim_config(cfg, argparse.Namespace())
+
+
+CASES = {
+    "sim-discipline": (lambda tmp: sim_config(discipline="greedy-x"),
+                       ValueError, "discipline must be one of"),
+    "sim-types": (lambda tmp: sim_config(demand=unit_demand(2)),
+                  ValueError, "disagree on the number of types"),
+    "sim-horizon": (lambda tmp: sim_config(horizon=-1.0),
+                    ValueError, "horizon and burn_in must be nonnegative"),
+    "sim-burn-in": (lambda tmp: sim_config(burn_in=-1.0),
+                    ValueError, "horizon and burn_in must be nonnegative"),
+    "sim-interval": (lambda tmp: sim_config(sample_interval=0.0),
+                     ValueError, "sample_interval must be positive"),
+    "sim-token-rate": (lambda tmp: sim_config(mode="open", discipline="greedy-dm",
+                                              token_rate=0.0),
+                       ValueError, "token_rate must be positive"),
+    "demand-shape": (lambda tmp: Demand(np.ones(2), np.ones(3)),
+                     ValueError, "1-d arrays of equal length"),
+    "state-alpha": (lambda tmp: StatePoint(np.ones(2), 0.0), ValueError, "alpha must be positive"),
+    "solve-alpha": (lambda tmp: solve_optimum(scalar_space(2), unit_demand(), 0.0),
+                    ValueError, "alpha must be positive"),
+    "aggregate-alpha": (lambda tmp: solve_aggregate_optimum(
+        enumerate_configs(B3), unit_demand(2), -1.0), ValueError, "alpha must be positive"),
+    "neutral-off-polytope": (lambda tmp: neutral_allocation(
+        scalar_space(2), StatePoint(np.array([5.0, 5.0]), 1.0), unit_demand()),
+        ValueError, "off the feasible polytope"),
+    "profile-keys": (lambda tmp: ResourceProfile.from_dict({"B": [1.0]}),
+                     ConfigSpaceError, "needs 'B' and 'b' arrays"),
+    "configs-length": (lambda tmp: validate_explicit_configs([(1,), (1, 0)]),
+                       ConfigSpaceError, r"has 2 entries, expected 1"),
+    "configs-negative": (lambda tmp: validate_explicit_configs([(1,), (-1,)]),
+                         ConfigSpaceError, "nonnegative integer entries"),
+    "configs-fraction": (lambda tmp: validate_explicit_configs([(1,), (1.5,)]),
+                         ConfigSpaceError, "nonnegative integer entries"),
+    "configs-empty": (lambda tmp: validate_explicit_configs([]),
+                      ConfigSpaceError, "empty configuration set"),
+    "configs-profile-types": (lambda tmp: validate_explicit_configs([(1,)], profile=B3),
+                              ConfigSpaceError, "profile has 2 types, configurations have 1"),
+    "token-odes-start": (lambda tmp: token_odes(unit_demand(), 1.0, [-1.0], [0.0], 1.0, 0.1),
+                         ValueError, "initial values must be nonnegative"),
+    "state-counts": (lambda tmp: SystemState.from_counts(scalar_space(2), 1.0, [1]),
+                     ValueError, "need 2 counts"),
+    "cli-not-object": (lambda tmp: cli._load(write_json(tmp, [K12_CFG])),
+                       ValueError, "config must be a JSON object"),
+    "cli-no-space": (lambda tmp: cli_sim_config({"arrival": [1.0], "service": [1.0]}),
+                     ValueError, "config needs a 'space' entry"),
+    "cli-no-arrival": (lambda tmp: cli_sim_config({"space": K12_CFG["space"], "service": [1.0]}),
+                       ValueError, "config needs an 'arrival' entry"),
+    "cli-alt-epsilon": (lambda tmp: cli_sim_config({**K12_CFG, "alt_placement": {"epsilon": 0}}),
+                        ValueError, r"epsilon must lie in \(0, 1\]"),
+    "cli-alt-mix": (lambda tmp: cli_sim_config(
+        {**K12_CFG, "alt_placement": {"epsilon": 0.5, "mix": 2.0}}),
+        ValueError, r"mix must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_invalid_input_raises_its_message(name, tmp_path):
+    build, exc, match = CASES[name]
+    with pytest.raises(exc, match=match):
+        build(tmp_path)
+
+
+def test_cli_parses_alt_placement():
+    config = cli_sim_config({**K12_CFG, "alt_placement": {"epsilon": 0.25, "mix": 0.5}})
+    assert config.alt_placement == AltPlacement(epsilon=0.25, mix=0.5)
+    assert cli_sim_config({**K12_CFG, "alt_placement": {"epsilon": 1}}).alt_placement.mix == 0.0
