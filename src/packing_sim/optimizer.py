@@ -268,10 +268,6 @@ def aggregate_objective(space: ConfigSpace, state: StatePoint) -> float:
     return float(np.sum(s[1:] ** (1.0 + state.alpha)) / (1.0 + state.alpha))
 
 
-def _config_rows(space: ConfigSpace) -> np.ndarray:
-    return constraint_matrix(space).T
-
-
 def solve_optimum(
     space: ConfigSpace,
     demand: Demand,
@@ -329,7 +325,7 @@ def kkt_certificate(
     part of it (``demand`` is not read); ``feasibility_gap`` measures that.
     """
     x = np.maximum(state.x, 0.0)
-    K = _config_rows(space)
+    K = constraint_matrix(space).T
     xa = x ** state.alpha
     thr = DEFAULT_SUPPORT_EPS * max(float(np.max(x, initial=0.0)), 1.0)
     support = x > thr
@@ -481,6 +477,16 @@ def drift(space: ConfigSpace, alloc: Allocation, state: StatePoint, demand: Dema
     return float(_space_weight_diffs(space, state) @ (alloc.gamma - neutral.gamma))
 
 
+def _swap_terms(space: ConfigSpace, state: StatePoint, demand: Demand) -> tuple:
+    """Edge masses of the neutral allocation, weight differentials, donors
+    (target mass present) and available recipients of single swaps."""
+    x = np.append(state.x, np.inf)  # base -1 (the unit edge) is always available
+    return (neutral_allocation(space, state, demand).gamma,
+            _space_weight_diffs(space, state),
+            x[list(space.edge_target)] > _DRIFT_ZERO_TOL,
+            x[list(space.edge_base)] > _DRIFT_ZERO_TOL)
+
+
 def simple_improving_allocations(
     space: ConfigSpace, state: StatePoint, demand: Demand
 ) -> list[tuple[Allocation, tuple[int, int]]]:
@@ -492,23 +498,15 @@ def simple_improving_allocations(
     (allocation, (donor_edge, recipient_edge)) pairs; empty exactly at the
     optimum.
     """
-    x = state.x
-    neutral = neutral_allocation(space, state, demand)
-    deltas = _space_weight_diffs(space, state).tolist()
+    neutral, delta, donor, available = _swap_terms(space, state, demand)
     out = []
-    for i in range(space.num_types):
-        edges = space.edges_of_type[i]
+    for edges in space.edges_of_type:
         for e1 in edges:
-            if x[space.edge_target[e1]] <= _DRIFT_ZERO_TOL:
+            if not donor[e1]:
                 continue
             for e2 in edges:
-                if e2 == e1:
-                    continue
-                b2 = space.edge_base[e2]
-                if b2 >= 0 and x[b2] <= _DRIFT_ZERO_TOL:
-                    continue
-                if deltas[e2] < deltas[e1]:
-                    gamma = neutral.gamma.copy()
+                if available[e2] and delta[e2] < delta[e1]:
+                    gamma = neutral.copy()
                     gamma[e2] += gamma[e1]
                     gamma[e1] = 0.0
                     out.append((Allocation(gamma=gamma), (e1, e2)))
@@ -518,14 +516,17 @@ def simple_improving_allocations(
 def min_drift(space: ConfigSpace, state: StatePoint, demand: Demand) -> float:
     """Smallest drift over the neutral and all simple improving allocations.
 
-    Zero exactly when the state is the objective minimizer; strictly
-    negative otherwise.
+    Moving donor e1's mass g to recipient e2 has drift g (delta_e2 -
+    delta_e1), so each donor's best swap is to the lightest available edge
+    of its type.  Zero exactly when no simple improving allocation exists.
     """
-    best = 0.0
-    for alloc, (e1, e2) in simple_improving_allocations(space, state, demand):
-        d = drift(space, alloc, state, demand)
-        best = min(best, d)
-    return best
+    mass, delta, donor, available = _swap_terms(space, state, demand)
+    etype = np.asarray(space.edge_type)
+    lightest = np.full(space.num_types, np.inf)
+    np.minimum.at(lightest, etype[available], delta[available])
+    m = lightest[etype]
+    donor &= delta > m
+    return float(np.min(mass[donor] * (m[donor] - delta[donor]), initial=0.0))
 
 
 def no_simple_improvement(

@@ -57,7 +57,7 @@ def _round_half_up(v: float) -> int:
 class AltPlacement:
     """Departure-anchored placement variant.
 
-    With probability ``mix`` the standard greedy rule is used instead.
+    With probability ``mix`` the run's own greedy rule places instead.
     Otherwise a single candidate edge is drawn: the unit edge of the
     type with probability ``epsilon``, or else the edge above a occupied
     server drawn with weight proportional to its count (no candidate if
@@ -180,7 +180,6 @@ class SystemState:
     alpha: float
     counts: list
     class_counts: Optional[list] = None
-    t: float = 0.0
     weights: dict = field(default_factory=dict, init=False, repr=False)
     stale: set = field(default_factory=set, init=False, repr=False)
 
@@ -347,17 +346,13 @@ def place_alt(
     departed_edge: int,
     rng,
     epsilon: float,
-    mix: float = 0.0,
 ) -> int:
     """Departure-anchored placement: move only to a strictly lighter edge.
 
     Draws one candidate (unit edge with probability epsilon, otherwise
     the edge above a count-weighted random occupied server) and compares
     weight differentials against the departed edge on current counts.
-    Falls through to the standard greedy rule with probability ``mix``.
     """
-    if mix > 0.0 and rng.random() < mix:
-        return place_greedy_d(state, i)
     space = state.space
     X = state.counts
     a = state.alpha
@@ -380,15 +375,16 @@ def place_alt(
 
 @dataclass(eq=False)
 class Snapshot:
-    """State sampled at one instant plus cumulative edge counters."""
+    """State sampled at one instant.  Only a run's final sample carries the
+    cumulative edge counters (the token ones in token mode); others hold None."""
 
     t: float
     x: dict
     y: tuple
     yhat: tuple
     ytilde: tuple
-    arrivals: dict
-    departures: dict
+    arrivals: Optional[dict] = None
+    departures: Optional[dict] = None
     token_arrivals: Optional[dict] = None
     replacement_arrivals: Optional[dict] = None
     fresh_arrivals: Optional[dict] = None
@@ -553,12 +549,11 @@ class Simulation:
         else:
             place = partial(place_greedy_i if d == "greedy-i" else place_greedy_d, state)
         alt = self.config.alt_placement
-        if alt is None:
-            def anchored(i, departed_edge):
+
+        def anchored(i, departed_edge):
+            if alt is None or (alt.mix > 0.0 and rng.random() < alt.mix):
                 return place(i)
-        else:
-            def anchored(i, departed_edge):
-                return place_alt(state, i, departed_edge, rng, alt.epsilon, alt.mix)
+            return place_alt(state, i, departed_edge, rng, alt.epsilon)
         self._place = place
         self._place_anchored = anchored
 
@@ -828,28 +823,30 @@ class Simulation:
     # -- sampling ------------------------------------------------------------
 
     def snapshot(self, at: float) -> Snapshot:
+        if self._conservation_error():
+            raise InvariantError(
+                "edge counters disagree with the population change "
+                "(or token placements with actual departures)"
+            )
         X = self.X
-        snap = Snapshot(
+        return Snapshot(
             t=at,
             x=dict(zip(compress(count(), X), map(truediv, filter(None, X), repeat(self.r)))),
             y=tuple(self.Y),
             yhat=tuple(self.Yhat),
             ytilde=tuple(self.Ytilde),
-            arrivals=_nonzero(self.arrivals),
-            departures=_nonzero(self.departures),
         )
+
+    def _copy_counters(self, snap: Snapshot) -> None:
+        """Copy the cumulative edge counters onto ``snap``, the final sample."""
+        snap.arrivals = _nonzero(self.arrivals)
+        snap.departures = _nonzero(self.departures)
         if self._tokens:
             snap.token_arrivals = _nonzero(self.tok_arr)
             snap.replacement_arrivals = _nonzero(self.rep_arr)
             snap.fresh_arrivals = _nonzero(self.fresh_arr)
             snap.actual_departures = _nonzero(self.act_dep)
             snap.expiries = _nonzero(self.exp_dep)
-        if self._conservation_error():
-            raise InvariantError(
-                "edge counters disagree with the population change "
-                "(or token placements with actual departures)"
-            )
-        return snap
 
     def _conservation_error(self) -> float:
         """Largest per-type gap between arrivals minus departures and the
@@ -892,6 +889,8 @@ def run(
         while next_sample <= t_next and next_sample <= horizon:
             snapshots.append(sim.snapshot(next_sample))
             next_sample += interval
+            if next_sample > horizon:
+                sim._copy_counters(snapshots[-1])
         if t_next >= horizon:
             sim.t = horizon
             break

@@ -288,6 +288,34 @@ class TestDrift:
         demand = unit_demand()
         assert min_drift(space, StatePoint(np.array([0.6, 0.2]), 1.0), demand) < -0.5
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("make", ["b3", "p48"])
+    def test_min_drift_is_least_swap_drift(self, make, alpha):
+        if make == "b3":
+            space, demand = b3_instance()
+        else:
+            rng = np.random.default_rng(48)
+            space = p48_space()
+            demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+        rng = np.random.default_rng(int(alpha * 10))
+        A = constraint_matrix(space)
+        states = [solve_optimum(space, demand, alpha)[0],
+                  StatePoint(solve_aggregate_optimum(space, demand, alpha)[0].x, alpha)]
+        states += [StatePoint(project_to_polytope(A, demand.rho, rng.uniform(0, 1, len(A[0]))),
+                              alpha) for _ in range(4)]
+        for state in states:
+            swaps = simple_improving_allocations(space, state, demand)
+            want = min([drift(space, a, state, demand) for a, _ in swaps], default=0.0)
+            got = min_drift(space, state, demand)
+            assert (got == 0.0) == (not swaps)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_min_drift_on_428_configs(self):
+        space = p428_space()
+        demand = unit_demand(4)
+        state, _ = solve_aggregate_optimum(space, demand, 1.0)
+        assert -1e-4 < min_drift(space, state, demand) < 0.0
+
     def test_no_simple_improvement_witness(self):
         space, demand = b3_instance()
         state, _ = solve_aggregate_optimum(space, demand, 1.0)

@@ -210,12 +210,29 @@ class TestPlaceAlt:
         out = place_alt(st, 0, dep, ScriptedRNG([0.5, 0.2]), epsilon=0.01)
         assert out == space.edge_index((2,), 0)
 
+    @staticmethod
+    def alt_engine(space, demand, counts, **fields):
+        sim = Simulation(SimConfig(space=space, demand=demand, r=10, **fields))
+        for t, v in enumerate(counts):
+            sim._bump(t, v - sim.X[t])
+        return sim
+
     def test_mix_falls_through_to_standard_rule(self):
         space = scalar_space(2)
-        st = state_of(space, [3, 5])
+        sim = self.alt_engine(space, unit_demand(), [3, 5], alpha=1.0,
+                              alt_placement=AltPlacement(epsilon=1.0, mix=1.0))
         dep = space.edge_index((1,), 0)
-        out = place_alt(st, 0, dep, ScriptedRNG([0.3]), epsilon=1.0, mix=1.0)
-        assert out == space.edge_index((2,), 0)
+        assert sim._put(0, departed_edge=dep) == space.edge_index((2,), 0)
+
+    def test_mix_uses_the_run_discipline(self):
+        # Type 1 at these counts: Greedy-D stacks on (1, 0) (edge 5),
+        # Greedy-I opens a (0, 1) server (edge 4).
+        space, demand = b3_instance()
+        counts = [1, 4, 4, 0, 2]
+        assert place_greedy_d(state_of(space, counts, 2.0), 1) == 5
+        sim = self.alt_engine(space, demand, counts, alpha=2.0, discipline="greedy-i",
+                              alt_placement=AltPlacement(epsilon=0.5, mix=1.0))
+        assert sim._put(1, departed_edge=5) == 4
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +311,25 @@ class TestClosedRuns:
         e = space.edge_index((1,), 0)
         last = res.snapshots[-1]
         assert last.arrivals[e] == last.departures[e] > 0
+
+    def test_only_final_sample_carries_counters(self):
+        space = scalar_space(2)
+        cfg = SimConfig(space=space, demand=unit_demand(), r=20, alpha=1.0, seed=3,
+                        horizon=5.0, burn_in=1.0, sample_interval=0.5)
+        snaps = run(cfg).snapshots
+        assert len(snaps) >= 3
+        assert all(s.arrivals is None and s.departures is None for s in snaps[:-1])
+        last = snaps[-1]
+        assert sum(last.arrivals.values()) == sum(last.departures.values()) > 0
+        assert last.token_arrivals is None
+
+    def test_every_sample_checks_conservation(self):
+        space = scalar_space(2)
+        sim = Simulation(SimConfig(space=space, demand=unit_demand(), r=20, alpha=1.0))
+        sim.snapshot(0.0)
+        sim.arrivals[space.edge_index((2,), 0)] += 1
+        with pytest.raises(InvariantError, match="edge counters disagree"):
+            sim.snapshot(0.0)
 
     def test_population_constant_and_absorbing_average(self):
         space = scalar_space(2)
@@ -405,6 +441,16 @@ class TestTokenRuns:
         assert sim.Y[0] == 1
         assert sum(sim.act_dep) == 1
         assert sum(sim.tok_arr) == 1
+
+    def test_final_sample_carries_token_counters(self):
+        cfg = SimConfig(space=scalar_space(2), demand=unit_demand(), r=50, alpha=1.0,
+                        mode="open", discipline="greedy-dm", seed=6)
+        snaps = run(cfg).snapshots
+        names = ("arrivals", "departures", "token_arrivals", "replacement_arrivals",
+                 "fresh_arrivals", "actual_departures", "expiries")
+        assert all(getattr(s, n) is None for s in snaps[:-1] for n in names)
+        assert all(isinstance(getattr(snaps[-1], n), dict) and getattr(snaps[-1], n)
+                   for n in names)
 
     def test_run_conserves_and_keeps_tokens_modest(self):
         sim_cfg = SimConfig(space=scalar_space(2), demand=unit_demand(), r=200,

@@ -4,7 +4,7 @@ the state cap and repeated engines on one space."""
 
 import json
 from itertools import product
-from operator import sub
+from operator import attrgetter, sub
 
 import numpy as np
 import pytest
@@ -95,7 +95,9 @@ def test_token_cells_share_one_space():
         assert new.summary["n_events"] > 0
         assert json.dumps(new.summary, sort_keys=True) == json.dumps(old.summary,
                                                                      sort_keys=True)
-        assert [vars(s) for s in new.snapshots] == [vars(s) for s in old.snapshots]
+        state = attrgetter("t", "x", "y", "yhat", "ytilde")
+        assert list(map(state, new.snapshots)) == list(map(state, old.snapshots))
+        assert vars(new.snapshots[-1]) == vars(old.snapshots[-1])
 
 
 def test_state_cap():
