@@ -33,7 +33,6 @@ from .optimizer import (
     kkt_certificate,
     min_drift,
     neutral_allocation,
-    no_simple_improvement,
     objective,
     simple_improving_allocations,
     solve_aggregate_optimum,
@@ -102,7 +101,6 @@ __all__ = [
     "kkt_certificate",
     "min_drift",
     "neutral_allocation",
-    "no_simple_improvement",
     "objective",
     "place_alt",
     "place_greedy_ac",

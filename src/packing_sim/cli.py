@@ -35,16 +35,18 @@ from .simulator import (
 _OVERRIDES = ("seed", "alpha", "r", "mode", "discipline")
 
 
-def _base_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", required=True, help="path to a JSON config file")
-    p.add_argument("--out", default=None, help="output directory (default: stdout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--mode", choices=("open", "closed"), default=None)
-    p.add_argument("--discipline", default=None)
-    return p
+def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
+    """The options every subcommand takes, the ``--alpha`` override, and
+    the overrides only the simulating subcommands read."""
+    base, alpha, sim = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    base.add_argument("--config", required=True, help="path to a JSON config file")
+    base.add_argument("--out", default=None, help="output directory (default: stdout)")
+    alpha.add_argument("--alpha", type=float, default=None)
+    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--r", type=float, default=None)
+    sim.add_argument("--mode", choices=("open", "closed"), default=None)
+    sim.add_argument("--discipline", default=None)
+    return base, alpha, sim
 
 
 def _load(path: str) -> dict:
@@ -103,6 +105,8 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     demand = _demand(cfg)
     alt = cfg.get("alt_placement")
     if alt is not None:
+        if not isinstance(alt, dict) or "epsilon" not in alt:
+            raise ValueError("alt_placement must be an object with an 'epsilon' entry")
         alt = AltPlacement(epsilon=alt["epsilon"], mix=alt.get("mix", 0.0))
     kwargs = {}
     for name in ("horizon", "burn_in", "sample_interval", "token_rate"):
@@ -235,21 +239,21 @@ def cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    base = _base_parser()
+    base, alpha, sim = _parent_parsers()
     parser = argparse.ArgumentParser(
         prog="packing-sim",
         description="simulation and optimization of service systems with packing constraints",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("enumerate", parents=[base]).set_defaults(func=cmd_enumerate)
-    sub.add_parser("solve", parents=[base]).set_defaults(func=cmd_solve)
-    sub.add_parser("simulate", parents=[base]).set_defaults(func=cmd_simulate)
-    pf = sub.add_parser("fluid", parents=[base])
+    sub.add_parser("solve", parents=[base, alpha]).set_defaults(func=cmd_solve)
+    sub.add_parser("simulate", parents=[base, alpha, sim]).set_defaults(func=cmd_simulate)
+    pf = sub.add_parser("fluid", parents=[base, alpha])
     pf.add_argument("--T", type=float, default=None, help="integration horizon")
     pf.add_argument("--dt", type=float, default=None, help="step size")
     pf.add_argument("--x0", default=None, help="start state as JSON (list or {\"k\": v} map)")
     pf.set_defaults(func=cmd_fluid)
-    pe = sub.add_parser("experiment", parents=[base])
+    pe = sub.add_parser("experiment", parents=[base, alpha, sim])
     pe.add_argument("--check", action="store_true",
                     help="exit 2 unless every monotonicity verdict holds")
     pe.set_defaults(func=cmd_experiment)

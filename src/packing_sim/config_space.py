@@ -201,12 +201,28 @@ class ConfigSpace:
         return self.aggregates is not None
 
     @cached_property
+    def constraint_matrix(self) -> np.ndarray:
+        """Read-only per-type conservation matrix A, A[i, t] = (config t)_i."""
+        A = np.ascontiguousarray(np.asarray(self.configs, dtype=float).T)
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only intp arrays of ``edge_type``, ``edge_target`` and
+        ``edge_base``.  Base -1 (an empty server) indexes the last entry of
+        a vector of length n + 1."""
+        arrays = tuple(np.asarray(e, dtype=np.intp)
+                       for e in (self.edge_type, self.edge_target, self.edge_base))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
     def type_edges(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """Per type i: (first edge, targets, bases) of its edges, the two as
-        index arrays.  Base -1 (an empty server) indexes the last entry of a
-        vector of length n + 1."""
-        target = np.asarray(self.edge_target, dtype=np.intp)
-        base = np.asarray(self.edge_base, dtype=np.intp)
+        """Per type i: (first edge, targets, bases) of its edges, slices of
+        ``edge_arrays``."""
+        _, target, base = self.edge_arrays
         return tuple((e[0], target[e[0]:e[-1] + 1], base[e[0]:e[-1] + 1])
                      for e in self.edges_of_type)
 

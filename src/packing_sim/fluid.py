@@ -30,7 +30,6 @@ from .optimizer import (
     StatePoint,
     _edge_mass_coefficients,
     _weight_diffs,
-    constraint_matrix,
     objective,
     project_to_polytope,
 )
@@ -65,10 +64,8 @@ def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
     not tied with their type's minimum lose their departure mass, which
     is split equally among the type's winners (available tied edges).
     """
-    target = np.asarray(space.edge_target)
-    base = np.asarray(space.edge_base)
+    edge_type, target, base = space.edge_arrays
     unit = base < 0
-    edge_type = np.asarray(space.edge_type)
     starts = [edges[0] for edges in space.edges_of_type]
     coef = _edge_mass_coefficients(space, demand)
 
@@ -115,7 +112,7 @@ def integrate(
     n = space.num_configs
     if x.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
-    A = constraint_matrix(space)
+    A = space.constraint_matrix
     rho = demand.rho
     if float(np.max(np.abs(A @ x - rho))) > 1e-9 or np.min(x) < -1e-12:
         raise ValueError("x0 is not on the feasible polytope")
@@ -123,9 +120,10 @@ def integrate(
     n_steps = int(round(horizon / dt))
     bound = 2.0 * float(np.max(rho))
     flows = _greedy_flows(space, demand, alpha)
+    _, target, base = space.edge_arrays
     eye = np.eye(n + 1, n)  # row n, read by the empty-server bases, is zero
     # C order: a strided M falls off numpy's fast matrix-vector path.
-    M = np.ascontiguousarray((eye[list(space.edge_target)] - eye[list(space.edge_base)]).T)
+    M = np.ascontiguousarray((eye[target] - eye[base]).T)
 
     xs = [x]
     for _ in range(n_steps):

@@ -104,6 +104,8 @@ def batch_means(values: Sequence[float], num_batches: int = 20) -> tuple[float, 
     size (trailing remainder dropped) and estimates the standard error
     of the overall mean from the spread of batch means.
     """
+    if num_batches < 1:
+        raise ValueError(f"num_batches must be at least 1, got {num_batches}")
     v = np.asarray(values, dtype=float)
     n = len(v)
     if n < num_batches:

@@ -29,7 +29,7 @@ totals instead (Phi).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +37,10 @@ from .config_space import ConfigSpace, _require_aggregates
 
 DEFAULT_SUPPORT_EPS = 1e-9
 # Acceptance bounds of the F and Phi solves, the distance from the polytope
-# past which a state has no neutral allocation, and the mass (and weight
-# difference) read as zero by the drift search and by the class check.
+# past which a state has no neutral allocation, and the mass read as zero by
+# the drift search.
 _PLAIN_TOL, _AGGREGATE_TOL, _NEUTRAL_FEAS_TOL = 1e-9, 1e-7, 1e-6
-_DRIFT_ZERO_TOL, _CLASS_ZERO_TOL = 1e-12, 1e-9
+_DRIFT_ZERO_TOL = 1e-12
 
 
 class NonconvergenceError(RuntimeError):
@@ -120,13 +120,13 @@ class KktCertificate:
 
 
 def constraint_matrix(space: ConfigSpace) -> np.ndarray:
-    """Per-type conservation matrix A with A[i, t] = (config t)_i."""
-    return np.ascontiguousarray(np.asarray(space.configs, dtype=float).T)
+    """The space's read-only conservation matrix A, A[i, t] = (config t)_i."""
+    return space.constraint_matrix
 
 
 def feasibility_gap(space: ConfigSpace, state: StatePoint, demand: Demand) -> float:
     """Max violation of conservation and nonnegativity at the state."""
-    A = constraint_matrix(space)
+    A = space.constraint_matrix
     gap = float(np.max(np.abs(A @ state.x - demand.rho)))
     neg = float(max(0.0, -np.min(state.x))) if len(state.x) else 0.0
     return max(gap, neg)
@@ -284,7 +284,7 @@ def solve_optimum(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    A = constraint_matrix(space)
+    A = space.constraint_matrix
     rho = demand.rho
     x = _plain_primal(A, rho, alpha)
     if float(np.max(np.abs(A @ x - rho))) > 1e-12:
@@ -325,7 +325,7 @@ def kkt_certificate(
     part of it (``demand`` is not read); ``feasibility_gap`` measures that.
     """
     x = np.maximum(state.x, 0.0)
-    K = constraint_matrix(space).T
+    K = space.constraint_matrix.T
     xa = x ** state.alpha
     thr = DEFAULT_SUPPORT_EPS * max(float(np.max(x, initial=0.0)), 1.0)
     support = x > thr
@@ -365,7 +365,7 @@ def solve_aggregate_optimum(
     agg = _require_aggregates(space)
     cls = np.asarray(agg.class_of) - 1
     nq = agg.num_classes
-    A = constraint_matrix(space)
+    A = space.constraint_matrix
     K = A.T
     rho = demand.rho
     m, n = A.shape
@@ -442,8 +442,8 @@ def _weight_diffs(xp: np.ndarray, alpha: float, target, base) -> np.ndarray:
 
 
 def _space_weight_diffs(space: ConfigSpace, state: StatePoint) -> np.ndarray:
-    xp = np.append(np.maximum(state.x, 0.0), 0.0)
-    return _weight_diffs(xp, state.alpha, list(space.edge_target), list(space.edge_base))
+    _, target, base = space.edge_arrays
+    return _weight_diffs(np.append(np.maximum(state.x, 0.0), 0.0), state.alpha, target, base)
 
 
 def weight_diff(space: ConfigSpace, state: StatePoint, edge: int) -> float:
@@ -453,8 +453,8 @@ def weight_diff(space: ConfigSpace, state: StatePoint, edge: int) -> float:
 
 def _edge_mass_coefficients(space: ConfigSpace, demand: Demand) -> np.ndarray:
     # Edge (k, i) carries departure mass k_i * mu_i * x_k.
-    i = list(space.edge_type)
-    return constraint_matrix(space)[i, list(space.edge_target)] * demand.service[i]
+    i, target, _ = space.edge_arrays
+    return space.constraint_matrix[i, target] * demand.service[i]
 
 
 def neutral_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> Allocation:
@@ -467,7 +467,7 @@ def neutral_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) ->
     if gap > _NEUTRAL_FEAS_TOL:
         raise ValueError(f"state is off the feasible polytope by {gap:.3e}")
     coef = _edge_mass_coefficients(space, demand)
-    gamma = coef * np.maximum(state.x, 0.0)[list(space.edge_target)]
+    gamma = coef * np.maximum(state.x, 0.0)[space.edge_arrays[1]]
     return Allocation(gamma=gamma)
 
 
@@ -480,11 +480,12 @@ def drift(space: ConfigSpace, alloc: Allocation, state: StatePoint, demand: Dema
 def _swap_terms(space: ConfigSpace, state: StatePoint, demand: Demand) -> tuple:
     """Edge masses of the neutral allocation, weight differentials, donors
     (target mass present) and available recipients of single swaps."""
+    _, target, base = space.edge_arrays
     x = np.append(state.x, np.inf)  # base -1 (the unit edge) is always available
     return (neutral_allocation(space, state, demand).gamma,
             _space_weight_diffs(space, state),
-            x[list(space.edge_target)] > _DRIFT_ZERO_TOL,
-            x[list(space.edge_base)] > _DRIFT_ZERO_TOL)
+            x[target] > _DRIFT_ZERO_TOL,
+            x[base] > _DRIFT_ZERO_TOL)
 
 
 def simple_improving_allocations(
@@ -521,49 +522,10 @@ def min_drift(space: ConfigSpace, state: StatePoint, demand: Demand) -> float:
     of its type.  Zero exactly when no simple improving allocation exists.
     """
     mass, delta, donor, available = _swap_terms(space, state, demand)
-    etype = np.asarray(space.edge_type)
+    etype = space.edge_arrays[0]
     lightest = np.full(space.num_types, np.inf)
     np.minimum.at(lightest, etype[available], delta[available])
     m = lightest[etype]
     donor &= delta > m
     return float(np.min(mass[donor] * (m[donor] - delta[donor]), initial=0.0))
 
-
-def no_simple_improvement(
-    space: ConfigSpace, state: StatePoint
-) -> tuple[bool, Optional[tuple[tuple[int, int], tuple[int, int]]]]:
-    """Class-level check that no mass can move to a lighter same-type edge.
-
-    True when for every pair of class edges (q, i), (q', i) with the
-    second strictly lighter, either no member of q holds both mass and a
-    type-i customer, or the recipient class below q' is nonzero and empty.
-    Returns a witness ((q, i), (q', i)) for the first violation found.
-    """
-    agg = _require_aggregates(space)
-    x = np.maximum(state.x, 0.0)
-    s = class_totals(space, x)
-    sa = s ** state.alpha
-    nq = agg.num_classes
-
-    def delta_qi(q, i):
-        down = agg.minus_type[q][i]
-        return sa[q] - (sa[down] if down else 0.0)
-
-    for i in range(space.num_types):
-        qs = [q for q in range(1, nq + 1) if agg.minus_type[q][i] is not None]
-        for q in qs:
-            donors = any(
-                space.configs[t][i] >= 1 and x[t] > _CLASS_ZERO_TOL for t in agg.members[q]
-            )
-            if not donors:
-                continue
-            dq = delta_qi(q, i)
-            for qp in qs:
-                if qp == q:
-                    continue
-                if delta_qi(qp, i) >= dq - _CLASS_ZERO_TOL:
-                    continue
-                down = agg.minus_type[qp][i]
-                if down == 0 or s[down] > _CLASS_ZERO_TOL:
-                    return False, ((q, i), (qp, i))
-    return True, None

@@ -201,6 +201,13 @@ class TestPlumbing:
         # token discipline in closed mode is rejected
         assert main(["simulate", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("argv", [["enumerate", "--alpha", "2"], ["solve", "--r", "5"]])
+    def test_subcommand_rejects_overrides_it_does_not_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", write_config(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         import shutil
 

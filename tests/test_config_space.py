@@ -18,6 +18,19 @@ def b3_space():
     return enumerate_configs(ResourceProfile((3.0,), ((1.0,), (2.0,))))
 
 
+ALL_SPACES = pytest.mark.parametrize("make", [
+    lambda: scalar_space(2),
+    b3_space,
+    lambda: enumerate_configs(ResourceProfile(
+        (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))),
+    lambda: enumerate_configs(ResourceProfile(
+        (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03)))),
+    lambda: validate_explicit_configs([
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1),
+        (1, 0, 1), (0, 0, 2), (1, 1, 1), (0, 1, 2)]),
+], ids=["k12", "b3", "48", "428", "explicit-3-types"])
+
+
 class TestProfile:
     def test_usage_and_fits(self):
         prof = ResourceProfile((3.0,), ((1.0,), (2.0,)))
@@ -135,17 +148,7 @@ class TestEdges:
                 if up is not None:
                     assert space.down_index[up][i] == t
 
-    @pytest.mark.parametrize("make", [
-        lambda: scalar_space(2),
-        b3_space,
-        lambda: enumerate_configs(ResourceProfile(
-            (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))),
-        lambda: enumerate_configs(ResourceProfile(
-            (1.0, 1.0), ((0.15, 0.05), (0.05, 0.15), (0.1, 0.1), (0.2, 0.03)))),
-        lambda: validate_explicit_configs([
-            (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1),
-            (1, 0, 1), (0, 0, 2), (1, 1, 1), (0, 1, 2)]),
-    ], ids=["k12", "b3", "48", "428", "explicit-3-types"])
+    @ALL_SPACES
     def test_edges_of_type_are_contiguous_ranges(self, make):
         # The simulator sums per-type edge counters over list slices.
         space = make()
@@ -154,6 +157,27 @@ class TestEdges:
             assert edges == tuple(range(start, start + len(edges)))
             start += len(edges)
         assert start == space.num_edges
+
+    @ALL_SPACES
+    def test_array_tables_are_cached_read_only_copies(self, make):
+        space = make()
+        A = space.constraint_matrix
+        assert A.dtype == float and A.flags.c_contiguous
+        assert A.tolist() == [list(row) for row in zip(*space.configs)]
+        arrays = space.edge_arrays
+        tables = (space.edge_type, space.edge_target, space.edge_base)
+        for a, table in zip(arrays, tables):
+            assert a.dtype == np.intp and a.tolist() == list(table)
+        for a in (A,) + arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert space.constraint_matrix is A and space.edge_arrays is arrays
+        _, target, base = arrays
+        for (first, t, b), edges in zip(space.type_edges, space.edges_of_type):
+            assert first == edges[0]
+            assert t.base is target and b.base is base
+            assert t.tolist() == [space.edge_target[e] for e in edges]
+            assert b.tolist() == [space.edge_base[e] for e in edges]
 
 
 class TestAggregates:

@@ -20,7 +20,6 @@ from packing_sim.optimizer import (
     aggregate_objective,
     class_totals,
     constraint_matrix,
-    no_simple_improvement,
     project_to_polytope,
     solve_aggregate_optimum,
 )
@@ -118,7 +117,6 @@ def test_class_functions_match_oracle(case):
     x = state.x
     assert class_totals(space, x).tobytes() == oracle.class_totals(space, x).tobytes()
     assert aggregate_objective(space, state) == oracle.aggregate_objective(space, state)
-    assert no_simple_improvement(space, state) == oracle.no_simple_improvement(space, state)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))

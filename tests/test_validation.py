@@ -15,6 +15,7 @@ from packing_sim.config_space import (
     validate_explicit_configs,
 )
 from packing_sim.fluid import token_odes
+from packing_sim.harness import batch_means
 from packing_sim.optimizer import (
     Demand,
     StatePoint,
@@ -98,6 +99,14 @@ CASES = {
     "cli-alt-mix": (lambda tmp: cli_sim_config(
         {**K12_CFG, "alt_placement": {"epsilon": 0.5, "mix": 2.0}}),
         ValueError, r"mix must lie in \[0, 1\]"),
+    "cli-alt-no-epsilon": (lambda tmp: cli_sim_config({**K12_CFG, "alt_placement": {"mix": 0.5}}),
+                           ValueError, "alt_placement must be an object with an 'epsilon' entry"),
+    "cli-alt-not-object": (lambda tmp: cli_sim_config({**K12_CFG, "alt_placement": 0.5}),
+                           ValueError, "alt_placement must be an object with an 'epsilon' entry"),
+    "batch-means-zero": (lambda tmp: batch_means(np.ones(10), 0),
+                         ValueError, "num_batches must be at least 1, got 0"),
+    "batch-means-negative": (lambda tmp: batch_means(np.ones(10), -1),
+                             ValueError, "num_batches must be at least 1, got -1"),
 }
 
 
