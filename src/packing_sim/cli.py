@@ -57,6 +57,22 @@ def _load(path: str) -> dict:
     return cfg
 
 
+def _value(kind, name: str, v):
+    """``kind(v)`` for the config entry ``name``: a value of the wrong type
+    is an input error, not a crash."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"config entry {name!r} must be a number, got {v!r}") from None
+
+
+def _list(cfg: dict, name: str, default=None):
+    v = cfg.get(name, default)
+    if not (v is None or isinstance(v, list)):
+        raise ValueError(f"config entry {name!r} must be a list, got {v!r}")
+    return v
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     for name in _OVERRIDES:
@@ -74,11 +90,12 @@ def _space(cfg: dict):
 
 def _demand(cfg: dict) -> Demand:
     try:
-        arrival = cfg["arrival"]
-        service = cfg["service"]
+        return Demand(np.asarray(cfg["arrival"], dtype=float),
+                      np.asarray(cfg["service"], dtype=float))
     except KeyError as exc:
         raise ValueError(f"config needs an {exc.args[0]!r} entry") from None
-    return Demand(np.asarray(arrival, dtype=float), np.asarray(service, dtype=float))
+    except TypeError:
+        raise ValueError("'arrival' and 'service' must be lists of numbers") from None
 
 
 def _out_dir(args):
@@ -107,19 +124,19 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     if alt is not None:
         if not isinstance(alt, dict) or "epsilon" not in alt:
             raise ValueError("alt_placement must be an object with an 'epsilon' entry")
-        alt = AltPlacement(epsilon=alt["epsilon"], mix=alt.get("mix", 0.0))
-    kwargs = {}
-    for name in ("horizon", "burn_in", "sample_interval", "token_rate"):
-        if cfg.get(name) is not None:
-            kwargs[name] = float(cfg[name])
+        alt = AltPlacement(epsilon=_value(float, "epsilon", alt["epsilon"]),
+                           mix=_value(float, "mix", alt.get("mix", 0.0)))
+    kwargs = {name: _value(float, name, cfg[name])
+              for name in ("horizon", "burn_in", "sample_interval", "token_rate")
+              if cfg.get(name) is not None}
     return SimConfig(
         space=space,
         demand=demand,
-        r=float(cfg.get("r", 1.0)),
-        alpha=float(cfg.get("alpha", 1.0)),
+        r=_value(float, "r", cfg.get("r", 1.0)),
+        alpha=_value(float, "alpha", cfg.get("alpha", 1.0)),
         mode=cfg.get("mode", "closed"),
         discipline=cfg.get("discipline", "greedy-d"),
-        seed=int(cfg.get("seed", 0)),
+        seed=_value(int, "seed", cfg.get("seed", 0)),
         alt_placement=alt,
         **kwargs,
     )
@@ -136,7 +153,7 @@ def cmd_enumerate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     space = _space(cfg)
-    alpha = float(cfg.get("alpha", 1.0))
+    alpha = _value(float, "alpha", cfg.get("alpha", 1.0))
     # A solver that fails leaves its fields null and its message under
     # "errors"; the other solver's optimum is still written.
     state, cert, agg_state, phistar, errors = solve_optima(space, _demand(cfg), alpha)
@@ -179,9 +196,10 @@ def cmd_fluid(args) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     space = _space(cfg)
     demand = _demand(cfg)
-    alpha = float(cfg.get("alpha", 1.0))
-    horizon = args.T if args.T is not None else float(cfg.get("horizon", 50.0))
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 1e-3))
+    alpha = _value(float, "alpha", cfg.get("alpha", 1.0))
+    horizon = args.T if args.T is not None else _value(float, "horizon",
+                                                       cfg.get("horizon", 50.0))
+    dt = args.dt if args.dt is not None else _value(float, "dt", cfg.get("dt", 1e-3))
     x0_raw = json.loads(args.x0) if args.x0 is not None else cfg.get("x0")
     if x0_raw is None:
         x0 = np.zeros(space.num_configs)
@@ -190,7 +208,7 @@ def cmd_fluid(args) -> int:
         x0 = np.zeros(space.num_configs)
         for key, v in x0_raw.items():
             k = tuple(int(s) for s in str(key).split(","))
-            x0[space.config_index(k)] = float(v)
+            x0[space.config_index(k)] = _value(float, "x0", v)
     else:
         x0 = np.asarray(x0_raw, dtype=float)
     traj = integrate(space, x0, demand, alpha, horizon=horizon, dt=dt)
@@ -221,12 +239,12 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args)
     exp = Experiment(
         base=base,
-        r_grid=cfg.get("r_grid", []),
-        replications=int(cfg.get("replications", 1)),
-        metrics=cfg.get("metrics"),
+        r_grid=[_value(float, "r_grid", r) for r in _list(cfg, "r_grid", [])],
+        replications=_value(int, "replications", cfg.get("replications", 1)),
+        metrics=_list(cfg, "metrics"),
         output_dir=out,
     )
-    report = run_experiment(exp, workers=int(cfg.get("workers", 1)))
+    report = run_experiment(exp, workers=_value(int, "workers", cfg.get("workers", 1)))
     _emit(report, out, "report.json")
     failed = report["partial"] or any(
         v["decreasing"] is False for v in report["verdicts"].values()

@@ -106,9 +106,9 @@ class ResourceProfile:
         try:
             cap = tuple(d["B"])
             req = tuple(tuple(row) for row in d["b"])
-        except (KeyError, TypeError) as exc:
+            return cls(cap, req)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigSpaceError(f"profile dict needs 'B' and 'b' arrays: {exc}") from exc
-        return cls(cap, req)
 
     def to_dict(self) -> dict:
         return {"B": list(self.capacity), "b": [list(r) for r in self.requirement]}
@@ -303,7 +303,7 @@ def _check_vector(config: Sequence[int], num_types: int) -> Configuration:
         )
     out = []
     for v in vec:
-        iv = int(v)
+        iv = int(v) if isinstance(v, (int, float, np.integer)) else -1
         if iv != v or iv < 0:
             raise ConfigSpaceError(f"configuration {vec} must have nonnegative integer entries")
         out.append(iv)
@@ -546,15 +546,18 @@ def space_from_dict(d: dict, max_configs: int = 1_000_000) -> ConfigSpace:
     Accepts either the nested form {"profile": {"B":..,"b":..}} or a flat
     {"B":..,"b":..}; explicit sets use {"configs": [[..],..]}.
     """
+    if not isinstance(d, dict):
+        raise ConfigSpaceError(f"space must be an object, got {d!r}")
     profile = None
     if "profile" in d:
         profile = ResourceProfile.from_dict(d["profile"])
     elif "B" in d and "b" in d:
         profile = ResourceProfile.from_dict(d)
     if "configs" in d:
-        return validate_explicit_configs(
-            [tuple(c) for c in d["configs"]], profile=profile, max_configs=max_configs
-        )
+        configs = d["configs"]
+        if not isinstance(configs, list) or not all(isinstance(c, list) for c in configs):
+            raise ConfigSpaceError(f"'configs' must be a list of integer lists, got {configs!r}")
+        return validate_explicit_configs(configs, profile=profile, max_configs=max_configs)
     if profile is None:
         raise ConfigSpaceError("config dict needs a 'profile' or a 'configs' entry")
     return enumerate_configs(profile, max_configs=max_configs)

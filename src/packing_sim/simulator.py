@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, count, repeat
-from operator import mul, truediv
+from operator import add, mul, sub, truediv
 from typing import Optional
 
 import numpy as np
@@ -487,15 +487,15 @@ class Simulation:
         self._memo = self._closed and not (
             config.alt_placement is not None or config.discipline in _CLASS_DISCIPLINES)
         self._stay = set()
-        self.Y = [0] * I
+        # Stored counts are independent: Y is Yhat + Ytilde, and per edge
+        # fresh arrivals are arrivals - tok_arr and actual departures are
+        # departures - exp_dep (token mode).
         self.Yhat = [0] * I
         self.Ytilde = [0] * I
         self.arrivals = [0] * E
         self.departures = [0] * E
         self.tok_arr = [0] * E if self._tokens else None
         self.rep_arr = [0] * E if self._tokens else None
-        self.fresh_arr = [0] * E if self._tokens else None
-        self.act_dep = [0] * E if self._tokens else None
         self.exp_dep = [0] * E if self._tokens else None
         self.n_events = 0
 
@@ -503,6 +503,7 @@ class Simulation:
         self._mu = [float(v) for v in mu]
         self._arr_rate = [float(self.demand.arrival[i]) * self.r for i in range(I)]
         self._arr_total = 0.0 if self._closed else sum(self._arr_rate)
+        self._mu0 = 0.0
         self._bind_placement()
 
         if self._tokens:
@@ -530,9 +531,8 @@ class Simulation:
             for i in range(I):
                 count = _round_half_up(float(self.demand.rho[i]) * self.r)
                 self._bump(space.unit_index[i], count)
-                self.Y[i] = count
                 self.Yhat[i] = count
-            self._y0 = list(self.Y)
+            self._y0 = list(self.Yhat)
         else:
             self._y0 = [0] * I
         self._x0 = list(self.X)
@@ -717,10 +717,9 @@ class Simulation:
         return self._tree[1]
 
     def _analytic_rate(self) -> float:
-        if self._tokens:
-            return (self._arr_total + sum(map(mul, self._mu, self.Yhat))
-                    + self._mu0 * sum(self.Ytilde))
-        return self._arr_total + sum(map(mul, self._mu, self.Y))
+        # Ytilde stays zero and _mu0 is 0.0 outside token mode.
+        return (self._arr_total + sum(map(mul, self._mu, self.Yhat))
+                + self._mu0 * sum(self.Ytilde))
 
     def _next_event(self) -> tuple:
         """(time of the next event or inf, total rate); checks the rate."""
@@ -739,7 +738,7 @@ class Simulation:
         self.t = t_next
         self._apply(self.rng.random() * total)
         self.n_events += 1
-        if self._closed and self.Y != self._y0:
+        if self._closed and self.Yhat != self._y0:
             raise InvariantError("closed population changed")
 
     def step(self) -> bool:
@@ -766,11 +765,7 @@ class Simulation:
                 self.rep_arr[self.space.edge_by_target[i][k_idx]] += 1
                 self.Ytilde[i] -= 1
             else:
-                e2 = self._put(i)
-                if self._tokens:
-                    self.fresh_arr[e2] += 1
-                self.arrivals[e2] += 1
-                self.Y[i] += 1
+                self.arrivals[self._put(i)] += 1
             self.Yhat[i] += 1
             return
 
@@ -779,7 +774,6 @@ class Simulation:
             c = leaf - I
             i, actual, e, nxt = self._state_row(c, u)
             self._cc_move(c, nxt)
-            (self.act_dep if actual else self.exp_dep)[e] += 1
         else:
             e = leaf - I
             stay = self._stay
@@ -792,8 +786,8 @@ class Simulation:
             actual = True
             self._shift(e, -1, push=not self._closed)
         self.departures[e] += 1
-        self.Y[i] -= 1
         if not actual:
+            self.exp_dep[e] += 1
             self.Ytilde[i] -= 1
             return
         self.Yhat[i] -= 1
@@ -813,7 +807,6 @@ class Simulation:
             stay.add(e)
             self._stay = stay
         self.arrivals[e2] += 1
-        self.Y[i] += 1
         if self._tokens:
             self.tok_arr[e2] += 1
             self.Ytilde[i] += 1
@@ -832,7 +825,7 @@ class Simulation:
         return Snapshot(
             t=at,
             x=dict(zip(compress(count(), X), map(truediv, filter(None, X), repeat(self.r)))),
-            y=tuple(self.Y),
+            y=tuple(map(add, self.Yhat, self.Ytilde)),
             yhat=tuple(self.Yhat),
             ytilde=tuple(self.Ytilde),
         )
@@ -844,22 +837,24 @@ class Simulation:
         if self._tokens:
             snap.token_arrivals = _nonzero(self.tok_arr)
             snap.replacement_arrivals = _nonzero(self.rep_arr)
-            snap.fresh_arrivals = _nonzero(self.fresh_arr)
-            snap.actual_departures = _nonzero(self.act_dep)
+            snap.fresh_arrivals = _nonzero(list(map(sub, self.arrivals, self.tok_arr)))
+            snap.actual_departures = _nonzero(list(map(sub, self.departures, self.exp_dep)))
             snap.expiries = _nonzero(self.exp_dep)
 
     def _conservation_error(self) -> float:
         """Largest per-type gap between arrivals minus departures and the
         population change; in token mode also between token placements and
-        actual departures.  Zero unless the bookkeeping is broken."""
+        actual departures (departures that are not expiries).  Zero unless
+        the bookkeeping is broken."""
         err = 0.0
         for i, edges in enumerate(self.space.edges_of_type):
             # The edges of a type are one ascending run of indexes.
             span = slice(edges[0], edges[-1] + 1)
-            net = sum(self.arrivals[span]) - sum(self.departures[span])
-            err = max(err, abs(net - (self.Y[i] - self._y0[i])))
+            dep = sum(self.departures[span])
+            net = sum(self.arrivals[span]) - dep
+            err = max(err, abs(net - (self.Yhat[i] + self.Ytilde[i] - self._y0[i])))
             if self._tokens:
-                err = max(err, abs(sum(self.tok_arr[span]) - sum(self.act_dep[span])))
+                err = max(err, abs(sum(self.tok_arr[span]) + sum(self.exp_dep[span]) - dep))
         return err
 
 
@@ -904,29 +899,21 @@ def _summarize(sim: Simulation, snapshots, xstar, phistar) -> dict:
     config = sim.config
     space = sim.space
     n = space.num_configs
-    I = space.num_types
     r = sim.r
+    # The per-type totals y, yhat and ytilde side by side: integers, so
+    # their sums over the samples are exact.
     if snapshots:
+        m = len(snapshots)
         xbar = np.zeros(n)
-        ybar = np.zeros(I)
-        yhat_bar = np.zeros(I)
-        ytilde_bar = np.zeros(I)
         for s in snapshots:
             for t, v in s.x.items():
                 xbar[t] += v
-            ybar += np.asarray(s.y, dtype=float)
-            yhat_bar += np.asarray(s.yhat, dtype=float)
-            ytilde_bar += np.asarray(s.ytilde, dtype=float)
-        m = len(snapshots)
         xbar /= m
-        ybar /= m * r
-        yhat_bar /= m * r
-        ytilde_bar /= m * r
+        ys = np.sum([s.y + s.yhat + s.ytilde for s in snapshots], axis=0) / (m * r)
     else:
         xbar = np.asarray([v / r for v in sim.X])
-        ybar = np.asarray([v / r for v in sim.Y])
-        yhat_bar = np.asarray([v / r for v in sim.Yhat])
-        ytilde_bar = np.asarray([v / r for v in sim.Ytilde])
+        ys = np.asarray(list(map(add, sim.Yhat, sim.Ytilde)) + sim.Yhat + sim.Ytilde) / r
+    ybar, yhat_bar, ytilde_bar = np.split(ys, 3)
 
     state = StatePoint(xbar, config.alpha)
     summary = {
@@ -977,20 +964,11 @@ def write_snapshots_csv(space: ConfigSpace, snapshots, path) -> None:
     keys = [config_key(k) for k in space.configs]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["t", "x"]
-            + [f"y{i}" for i in range(I)]
-            + [f"yhat{i}" for i in range(I)]
-            + [f"ytilde{i}" for i in range(I)]
-        )
+        w.writerow(["t", "x"] + [f"{name}{i}" for name in ("y", "yhat", "ytilde")
+                                 for i in range(I)])
         for s in snapshots:
             xs = {keys[t]: v for t, v in sorted(s.x.items())}
-            w.writerow(
-                [s.t, json.dumps(xs, sort_keys=True)]
-                + list(s.y)
-                + list(s.yhat)
-                + list(s.ytilde)
-            )
+            w.writerow([s.t, json.dumps(xs, sort_keys=True), *s.y, *s.yhat, *s.ytilde])
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:

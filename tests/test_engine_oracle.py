@@ -107,7 +107,7 @@ def test_draw_at_total_falls_back_to_last_positive_leaf(mode):
     idle = [e for e in range(space.num_edges) if sim.X[space.edge_target[e]] == 0]
     sim._apply(sim.total_rate())
     assert all(sim.departures[e] == 0 for e in idle)
-    counts = sim.X + sim.Y + sim.Yhat + sim.Ytilde + (sim.Xc if mode == "token" else [])
+    counts = sim.X + sim.Yhat + sim.Ytilde + (sim.Xc if mode == "token" else [])
     assert min(counts) >= 0
     assert sim.total_rate() == pytest.approx(sim._analytic_rate())
 

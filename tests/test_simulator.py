@@ -288,7 +288,8 @@ class TestClosedRuns:
         space, demand = b3_instance()
         cfg = SimConfig(space=space, demand=demand, r=10, alpha=1.0, horizon=0.0)
         sim = Simulation(cfg)
-        assert sim.Y == [7, 3]  # round-half-up of (20/3, 10/3)
+        assert sim.Yhat == [7, 3]  # round-half-up of (20/3, 10/3)
+        assert sim.Ytilde == [0, 0]
         assert sim.X[space.unit_index[0]] == 7
         assert sim.X[space.unit_index[1]] == 3
 
@@ -300,6 +301,20 @@ class TestClosedRuns:
         assert res.snapshots == []
         assert res.summary["x_bar"] == {"1": 1.0}
         assert res.summary["n_events"] == 0
+        assert res.summary["y_bar"] == res.summary["yhat_bar"] == [1.0]
+        assert res.summary["ytilde_bar"] == [0.0]
+
+    def test_token_run_ending_before_burn_in_sums_y(self):
+        # No sample: the summary reads the final counts, with tokens held.
+        cfg = SimConfig(space=scalar_space(2), demand=unit_demand(), r=50, alpha=1.0,
+                        mode="open", discipline="greedy-dm", seed=1,
+                        horizon=5.0, burn_in=10.0)
+        res = run(cfg)
+        s = res.summary
+        assert res.snapshots == [] and s["n_events"] > 0
+        assert s["ytilde_bar"][0] > 0
+        assert s["y_bar"] == [pytest.approx(s["yhat_bar"][0] + s["ytilde_bar"][0])]
+        assert s["conservation_error"] == 0.0
 
     def test_single_customer_identity_dynamics(self):
         space = validate_explicit_configs([(1,)])
@@ -390,7 +405,6 @@ class TestTokenRuns:
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
         sim._cc_move(-1, cc_state(sim, k0, -1))
-        sim.Y[0] += 1
         sim.Ytilde[0] += 1
         arr = sum(sim._arr_rate)
         assert math.isclose(sim.total_rate(), arr + sim.config.token_rate)
@@ -405,23 +419,21 @@ class TestTokenRuns:
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
         sim._cc_move(-1, cc_state(sim, k0, k0))
-        sim.Y[0] += 1
         sim.Yhat[0] += 1
         predicted = place_greedy_d(sim.state, 0)
         assert sim.Ytilde[0] == 0
         sim._apply(1e-9)  # lands in the arrival slice
-        assert sim.fresh_arr[predicted] == 1
+        # A fresh arrival is an edge arrival that is not a token placement.
+        assert sim.arrivals[predicted] - sim.tok_arr[predicted] == 1
         assert sim.rep_arr[predicted] == 0
 
     def test_arrival_with_token_replaces_it(self):
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
         sim._cc_move(-1, cc_state(sim, k0, -1))
-        sim.Y[0] += 1
         sim.Ytilde[0] += 1
-        y_before = list(sim.Y)
         sim._apply(1e-9)
-        assert sim.Y == y_before  # replacement leaves totals alone
+        assert sim.Yhat[0] + sim.Ytilde[0] == 1  # replacement leaves totals alone
         assert sim.Yhat[0] == 1
         assert sim.Ytilde[0] == 0
         assert sum(sim.rep_arr) == 1
@@ -432,14 +444,14 @@ class TestTokenRuns:
         sim = self.make_sim()
         k0 = sim.space.config_index((1,))
         sim._cc_move(-1, cc_state(sim, k0, k0))
-        sim.Y[0] += 1
         sim.Yhat[0] += 1
         arr = sum(sim._arr_rate)
         sim._apply(arr + 1e-9)  # the only non-arrival event: actual departure
         assert sim.Yhat[0] == 0
         assert sim.Ytilde[0] == 1
-        assert sim.Y[0] == 1
-        assert sum(sim.act_dep) == 1
+        # An actual departure is a departure that is not an expiry.
+        assert sum(sim.departures) - sum(sim.exp_dep) == 1
+        assert sum(sim.exp_dep) == 0
         assert sum(sim.tok_arr) == 1
 
     def test_final_sample_carries_token_counters(self):

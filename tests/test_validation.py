@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,44 @@ def write_json(tmp_path, obj):
 
 def cli_sim_config(cfg):
     return cli._sim_config(cfg, argparse.Namespace())
+
+
+def cli_command(tmp, command, cfg):
+    args = argparse.Namespace(config=write_json(tmp, cfg), out=str(tmp / "out"), check=False,
+                              T=None, dt=None, x0=None)
+    return getattr(cli, f"cmd_{command}")(args)
+
+
+# A k12 config with one value of the wrong type, and the subcommand that
+# reads it: each is an input error, reported as ``error: ...`` with exit 1.
+BAD_VALUES = {
+    "cli-alt-epsilon-type": ("simulate", {"alt_placement": {"epsilon": "abc"}},
+                             "config entry 'epsilon' must be a number, got 'abc'"),
+    "cli-alt-mix-type": ("simulate", {"alt_placement": {"epsilon": 0.5, "mix": "x"}},
+                         "config entry 'mix' must be a number, got 'x'"),
+    "cli-horizon-type": ("simulate", {"horizon": [1]},
+                         r"config entry 'horizon' must be a number, got \[1\]"),
+    "cli-r-type": ("simulate", {"r": [1]}, r"config entry 'r' must be a number, got \[1\]"),
+    "cli-seed-type": ("experiment", {"seed": [1]},
+                      r"config entry 'seed' must be a number, got \[1\]"),
+    "cli-r-grid-type": ("experiment", {"r_grid": 5},
+                        "config entry 'r_grid' must be a list, got 5"),
+    "cli-r-grid-entry": ("experiment", {"r_grid": [[1]]},
+                         r"config entry 'r_grid' must be a number, got \[1\]"),
+    "cli-metrics-type": ("experiment", {"metrics": 5},
+                         "config entry 'metrics' must be a list, got 5"),
+    "cli-arrival-type": ("solve", {"arrival": {"a": 1}},
+                         "'arrival' and 'service' must be lists of numbers"),
+    "cli-space-type": ("solve", {"space": 5}, "space must be an object, got 5"),
+    "cli-configs-type": ("solve", {"space": {"configs": 5}},
+                         "'configs' must be a list of integer lists, got 5"),
+    "cli-configs-entry": ("enumerate", {"space": {"configs": [[[1]], [2]]}},
+                          "must have nonnegative integer entries"),
+    "cli-x0-entry": ("fluid", {"x0": {"1": [1]}},
+                     r"config entry 'x0' must be a number, got \[1\]"),
+    "cli-profile-entry": ("enumerate", {"space": {"profile": {"B": [[3]], "b": [[1]]}}},
+                          "profile dict needs 'B' and 'b' arrays"),
+}
 
 
 CASES = {
@@ -108,6 +147,11 @@ CASES = {
     "batch-means-negative": (lambda tmp: batch_means(np.ones(10), -1),
                              ValueError, "num_batches must be at least 1, got -1"),
 }
+CASES.update({
+    name: (lambda tmp, command=command, bad=bad: cli_command(tmp, command, {**K12_CFG, **bad}),
+           ValueError, match)
+    for name, (command, bad, match) in BAD_VALUES.items()
+})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -115,6 +159,15 @@ def test_invalid_input_raises_its_message(name, tmp_path):
     build, exc, match = CASES[name]
     with pytest.raises(exc, match=match):
         build(tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_cli_reports_bad_value_without_traceback(name, tmp_path, capsys):
+    command, bad, match = BAD_VALUES[name]
+    assert cli.main([command, "--config", write_json(tmp_path, {**K12_CFG, **bad})]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(match, err)
+    assert "Traceback" not in err
 
 
 def test_cli_parses_alt_placement():
