@@ -209,8 +209,10 @@ def cmd_fluid(args) -> int:
         for key, v in x0_raw.items():
             k = tuple(int(s) for s in str(key).split(","))
             x0[space.config_index(k)] = _value(float, "x0", v)
+    elif isinstance(x0_raw, list):
+        x0 = np.array([_value(float, "x0", v) for v in x0_raw])
     else:
-        x0 = np.asarray(x0_raw, dtype=float)
+        raise ValueError(f"config entry 'x0' must be a list or an object, got {x0_raw!r}")
     traj = integrate(space, x0, demand, alpha, horizon=horizon, dt=dt)
     out = _out_dir(args)
     if out:

@@ -30,6 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -227,6 +228,11 @@ class ConfigSpace:
                      for e in self.edges_of_type)
 
     @cached_property
+    def config_keys(self) -> tuple[str, ...]:
+        """``config_key`` of every configuration, built once per space."""
+        return tuple(map(config_key, self.configs))
+
+    @cached_property
     def num_server_states(self) -> int:
         """Number of pairs (configuration k, held counts h <= k)."""
         return sum(math.prod(v + 1 for v in k) for k in self.configs)
@@ -310,182 +316,173 @@ def _check_vector(config: Sequence[int], num_types: int) -> Configuration:
     return tuple(out)
 
 
-def _unit(num_types: int, i: int) -> Configuration:
-    return tuple(1 if j == i else 0 for j in range(num_types))
+def _runs(values: np.ndarray, ends: list) -> list:
+    """``values`` cut into consecutive tuples ending at the positions ``ends``."""
+    values = values.tolist()
+    return list(map(tuple, map(values.__getitem__, map(slice, [0] + ends[:-1], ends))))
 
 
-def _build_aggregates(
-    configs: tuple[Configuration, ...],
-    up_index: tuple[tuple[Optional[int], ...], ...],
-    down_index: tuple[tuple[Optional[int], ...], ...],
-    unit_index: tuple[int, ...],
-    profile: ResourceProfile,
-) -> AggregateInfo:
-    usages = [profile.usage(k) for k in configs]
+def _build_aggregates(U: np.ndarray, capacity: tuple[float, ...], near: np.ndarray,
+                      valid: np.ndarray, unit_index: np.ndarray) -> AggregateInfo:
+    """Classes of the usage rows U; ``near`` and ``valid`` as in ``_assemble``."""
+    n, num_types = U.shape[0], near.shape[2]
     # Group configuration indexes by usage over capacity, rounded at the
     # feasibility slack so that 0.15 + 0.05 and 0.1 + 0.1 share a class.
-    # Class ids follow the order of these keys, with 0 kept for the zero
-    # class; members ascend by index, hence by lexicographic order.
-    groups: dict[tuple[float, ...], list[int]] = {}
-    for t, u in enumerate(usages):
-        key = tuple(round(v / c, 12) for v, c in zip(u, profile.capacity))
-        groups.setdefault(key, []).append(t)
-    ordered = [tuple(groups[key]) for key in sorted(groups)]
+    # Python's round, once per distinct share (np.round rounds differently).
+    shares = (U / capacity).ravel().tolist()
+    rounded = {v: round(v, 12) for v in set(shares)}
+    key = np.array(list(map(rounded.__getitem__, shares))).reshape(U.shape)
+    # Class ids follow the lexicographic order of the keys, with 0 kept for
+    # the zero class; the sort is stable, so members ascend by index.
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.logical_or.reduce(key[1:] != key[:-1], 1)
+    starts = new.nonzero()[0]
+    ends = np.concatenate((starts[1:], [n]))
+    Q, sizes = len(starts), ends - starts
     # One trailing 0 so that the zero configuration (-1) maps to class 0.
-    class_of = [0] * (len(configs) + 1)
-    for q, ts in enumerate(ordered, start=1):
-        for t in ts:
-            class_of[t] = q
-    width = max(map(len, ordered))
-    table = np.array([ts + (len(configs),) * (width - len(ts)) for ts in ordered])
+    class_of = np.zeros(n + 1, dtype=int)
+    class_of[order] = new.cumsum()
+    table = np.full((Q, np.maximum.reduce(sizes)), n)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = order
     table.flags.writeable = False
 
-    # All members of a class step along +-e_i into one class, so any
-    # admitting (holding) member gives the class reached.
-    num_types = len(unit_index)
-    plus_type = [tuple(class_of[u] for u in unit_index)]
-    minus_type = [(None,) * num_types]
-    admit_bases = [((),) * num_types]
-    for ts in ordered:
-        prow, mrow, arow = [], [], []
-        for i in range(num_types):
-            bases = tuple(t for t in ts if up_index[t][i] is not None)
-            prow.append(class_of[up_index[bases[0]][i]] if bases else None)
-            arow.append(bases)
-            down = next((down_index[t][i] for t in ts if down_index[t][i] is not None), None)
-            mrow.append(None if down is None else class_of[down])
-        plus_type.append(tuple(prow))
-        minus_type.append(tuple(mrow))
-        admit_bases.append(tuple(arow))
-
+    # All members of a class step along +-e_i into one class; take the
+    # class reached from the first member with that neighbour (k + e_i for
+    # plus_type, k - e_i for minus_type): the least member * (Q + 1) + class.
+    reached = np.arange(n)[:, None] * (Q + 1) + class_of[near]
+    first = np.minimum.reduceat(
+        np.where(valid, reached, n * (Q + 1))[:, order], starts, axis=1)
+    plus, minus = np.where(first < n * (Q + 1), first % (Q + 1), None).tolist()
+    # Members of q that admit type i, by type, then class.
+    admits = valid[0, order]
+    counts = np.add.reduceat(admits, starts, axis=0, dtype=int)
+    admit = _runs(order[admits.T.nonzero()[1]], counts.T.cumsum().tolist())
     return AggregateInfo(
-        class_of=tuple(class_of[:-1]),
-        members=((),) + tuple(ordered),
-        usage=((0.0,) * profile.num_resources,) + tuple(usages[ts[0]] for ts in ordered),
-        plus_type=tuple(plus_type),
-        minus_type=tuple(minus_type),
-        admit_bases=tuple(admit_bases),
+        class_of=tuple(class_of[:-1].tolist()),
+        members=((),) + tuple(_runs(order, ends.tolist())),
+        usage=((0.0,) * len(capacity),) + tuple(map(tuple, U[order[starts]].tolist())),
+        plus_type=(tuple(class_of[unit_index].tolist()),) + tuple(map(tuple, plus)),
+        minus_type=((None,) * num_types,) + tuple(map(tuple, minus)),
+        admit_bases=(((),) * num_types,)
+        + tuple(zip(*(admit[i * Q:(i + 1) * Q] for i in range(num_types)))),
         member_table=table,
     )
 
 
-def _assemble(
-    num_types: int,
-    config_set: set[Configuration],
-    profile: Optional[ResourceProfile],
-) -> ConfigSpace:
-    configs = tuple(sorted(config_set))
-    index = {k: t for t, k in enumerate(configs)}
-    units = {k.index(1): t for t, k in enumerate(configs) if sum(k) == 1}
-    for i in range(num_types):
-        if i not in units:
-            raise ConfigSpaceError(f"unit configuration for type {i} is missing")
-    unit_index = tuple(units[i] for i in range(num_types))
+def _assemble(K: np.ndarray, profile: Optional[ResourceProfile],
+              check_fit: bool = False) -> ConfigSpace:
+    """The space whose configurations are the distinct rows of K, one of
+    which is the zero configuration; rows may come in any order."""
+    # Mixed-radix codes order like the rows, and leave room for one more
+    # count in every column, so k +- e_i has code code(k) +- place[i].
+    # Python ints where int64 could overflow.
+    place = [1]
+    for r in reversed((np.maximum.reduce(K) + 2).tolist()):
+        place.insert(0, place[0] * r)
+    place = np.array(place[1:], dtype=np.int64 if place[0] < 2**63 else object)
+    codes = K @ place
+    order = codes.argsort()
+    # Sorted, the zero configuration comes first, so a position minus one
+    # is a configuration index, and -1 the zero configuration.
+    codes, K = codes[order], K[order[1:]]
+    n, num_types = K.shape
+    configs = tuple(map(tuple, K.tolist()))
+    if profile is not None:
+        # Summed type by type as in ResourceProfile.usage, so the floats agree.
+        U = np.zeros((n, profile.num_resources))
+        for i, row in enumerate(np.array(profile.requirement)):
+            U = U + K[:, i, None] * row
+        if check_fit:
+            fit = np.logical_and.reduce(U <= np.array(profile.capacity) * (1.0 + _FEAS_RTOL), 1)
+            if not fit.all():
+                raise ConfigSpaceError(f"configuration {configs[fit.argmin()]} does not fit"
+                                       " the profile")
 
-    # The one neighbour pass: k + e_i and k - e_i for every (configuration,
-    # type).  None marks a neighbour outside the space, -1 the zero
-    # configuration; a missing k - e_i breaks monotonicity.
-    up_index: list = []
-    down_index: list = []
-    for t, k in enumerate(configs):
-        up_row: list[Optional[int]] = []
-        down_row: list[Optional[int]] = []
-        for i, ki in enumerate(k):
-            head, tail = k[:i], k[i + 1:]
-            up_row.append(index.get(head + (ki + 1,) + tail))
-            if ki == 0:
-                down_row.append(None)
-            elif t == unit_index[i]:
-                down_row.append(-1)
-            else:
-                down = head + (ki - 1,) + tail
-                base = index.get(down)
-                if base is None:
-                    raise ConfigSpaceError(
-                        f"set is not monotone: {k} present but {down} missing"
-                    )
-                down_row.append(base)
-        up_index.append(tuple(up_row))
-        down_index.append(tuple(down_row))
-    up_index, down_index = tuple(up_index), tuple(down_index)
+    # e_i, then k + e_i and k - e_i for every (configuration, type).
+    code = codes[1:, None]
+    near = np.concatenate((place[None], code + place, code - place))
+    pos = codes.searchsorted(near)
+    found = codes.take(pos, mode="clip") == near
+    pos -= 1
+    if not found[0].all():
+        raise ConfigSpaceError(f"unit configuration for type {found[0].argmin()} is missing")
+    unit_index, near, has_up = pos[0], pos[1:].reshape(2, n, num_types), found[1:n + 1]
+    # A missing k - e_i breaks monotonicity.
+    held = K > 0
+    missing = held > found[n + 1:]
+    if missing.any():
+        t, i = divmod(int(missing.argmax()), num_types)
+        k = configs[t]
+        raise ConfigSpaceError(f"set is not monotone: {k} present but "
+                               f"{k[:i] + (k[i] - 1,) + k[i + 1:]} missing")
 
     # Edge (i, t) exists where t holds type i; edges are ordered by
     # (type, target index).
-    edge_type: list[int] = []
-    edge_target: list[int] = []
-    edge_base: list[int] = []
-    edges_of_type: list[tuple[int, ...]] = []
-    for i in range(num_types):
-        start = len(edge_type)
-        for t, row in enumerate(down_index):
-            if row[i] is not None:
-                edge_type.append(i)
-                edge_target.append(t)
-                edge_base.append(row[i])
-        edges_of_type.append(tuple(range(start, len(edge_type))))
-
-    aggregates = None
-    if profile is not None:
-        aggregates = _build_aggregates(configs, up_index, down_index, unit_index, profile)
-
+    edge_type, edge_target = held.T.nonzero()
+    ends = edge_type.searchsorted(range(num_types), "right").tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    targets = edge_target.tolist()
+    # None where k + e_i is outside the space or k holds no type i.
+    valid = np.array((has_up, held))
+    up_index, down_index = np.where(valid, near, None).tolist()
     return ConfigSpace(
         num_types=num_types,
         configs=configs,
         profile=profile,
-        aggregates=aggregates,
-        index=index,
-        edge_type=tuple(edge_type),
-        edge_target=tuple(edge_target),
-        edge_base=tuple(edge_base),
-        edges_of_type=tuple(edges_of_type),
-        up_index=up_index,
-        down_index=down_index,
-        unit_index=unit_index,
-        edge_by_target=tuple(
-            {edge_target[e]: e for e in edges_of_type[i]} for i in range(num_types)
-        ),
+        aggregates=None if profile is None else _build_aggregates(
+            U, profile.capacity, near, valid, unit_index),
+        index=dict(zip(configs, range(n))),
+        edge_type=tuple(edge_type.tolist()),
+        edge_target=tuple(targets),
+        edge_base=tuple(near[1].T[held.T].tolist()),
+        edges_of_type=tuple(tuple(range(a, b)) for a, b in spans),
+        up_index=tuple(map(tuple, up_index)),
+        down_index=tuple(map(tuple, down_index)),
+        unit_index=tuple(unit_index.tolist()),
+        edge_by_target=tuple(dict(zip(targets[a:b], range(a, b))) for a, b in spans),
     )
 
 
 def enumerate_configs(profile: ResourceProfile, max_configs: int = 1_000_000) -> ConfigSpace:
     """Enumerate every nonzero configuration that fits the profile.
 
-    Depth-first over types with running capacity; raises if a unit
-    configuration does not fit or the space would exceed ``max_configs``.
+    Type by type over arrays of prefixes with running capacity; raises if
+    a unit configuration does not fit or the space would exceed
+    ``max_configs``.
     """
-    num_types = profile.num_types
-    for i in range(num_types):
-        if not profile.fits(_unit(num_types, i)):
+    for i, row in enumerate(profile.requirement):
+        # ResourceProfile.fits of the unit configuration: its usage is row.
+        if not all(v <= c * (1.0 + _FEAS_RTOL) for v, c in zip(row, profile.capacity)):
             raise ConfigSpaceError(
                 f"no nonzero feasible configurations for type {i}: one customer does not fit"
             )
-
-    cap = profile.capacity
-    found: set[Configuration] = set()
-
-    def extend(prefix: list[int], remaining: tuple[float, ...], i: int):
-        if i == num_types:
-            key = tuple(prefix)
-            if any(key):
-                found.add(key)
-                if len(found) > max_configs:
-                    raise ConfigSpaceError(
-                        f"configuration space exceeds cap of {max_configs}"
-                    )
-            return
-        req = profile.requirement[i]
-        count = 0
-        rem = remaining
-        while True:
-            extend(prefix + [count], rem, i + 1)
-            nxt = tuple(r - v for r, v in zip(rem, req))
-            if any(n < -c * _FEAS_RTOL for n, c in zip(nxt, cap)):
-                break
-            count += 1
-            rem = nxt
-
-    extend([], cap, 0)
-    return _assemble(num_types, found, profile)
+    cap = np.array(profile.capacity)
+    floor = -cap * _FEAS_RTOL
+    K = np.zeros((1, profile.num_types), dtype=np.int64)
+    rem = cap[None]
+    for i, r in enumerate(np.array(profile.requirement)):
+        # Count c extends the prefixes whose capacity survives c subtractions
+        # of r, one per count as a depth-first search makes them, so
+        # boundary configurations are decided by the same floats.
+        alive = np.arange(len(K))
+        parents, rems, size = [alive], [rem], len(K)
+        while len(alive):
+            rem = rem - r
+            ok = np.logical_and.reduce(rem >= floor, 1)
+            alive, rem = alive[ok], rem.compress(ok, axis=0)
+            parents.append(alive)
+            rems.append(rem)
+            # Each prefix ends at least one configuration (the zero prefix
+            # only the zero configuration), so the cap applies already.
+            size += len(alive)
+            if size - 1 > max_configs:
+                raise ConfigSpaceError(f"configuration space exceeds cap of {max_configs}")
+        K = K[np.concatenate(parents)]
+        K[:, i] = np.arange(len(parents)).repeat(list(map(len, parents)))
+        rem = np.concatenate(rems)
+    return _assemble(K, profile)
 
 
 def validate_explicit_configs(
@@ -510,18 +507,15 @@ def validate_explicit_configs(
         raise ConfigSpaceError(
             f"profile has {profile.num_types} types, configurations have {num_types}"
         )
-    checked: set[Configuration] = set()
-    for c in raw:
-        vec = _check_vector(c, num_types)
-        if any(vec):
-            checked.add(vec)
-    if len(checked) > max_configs:
+    rows = {(0,) * num_types}
+    rows.update(_check_vector(c, num_types) for c in raw)
+    if len(rows) - 1 > max_configs:
         raise ConfigSpaceError(f"configuration space exceeds cap of {max_configs}")
-    if profile is not None:
-        for vec in sorted(checked):
-            if not profile.fits(vec):
-                raise ConfigSpaceError(f"configuration {vec} does not fit the profile")
-    return _assemble(num_types, checked, profile)
+    # Counts near the int64 limit belong to sets that cannot be monotone; an
+    # object array still names the first missing configuration.
+    big = max(chain.from_iterable(rows), default=0) >= 2**62
+    K = np.array(list(rows), dtype=object if big else np.int64)
+    return _assemble(K, profile, check_fit=True)
 
 
 def config_key(config: Sequence[int]) -> str:
@@ -531,7 +525,8 @@ def config_key(config: Sequence[int]) -> str:
 
 def sparse_state(space: ConfigSpace, x) -> dict:
     """The nonzero coordinates of a state vector, keyed by ``config_key``."""
-    return {config_key(space.configs[t]): float(v) for t, v in enumerate(x) if v}
+    keys = space.config_keys
+    return {keys[t]: float(v) for t, v in enumerate(x) if v}
 
 
 def _require_aggregates(space: ConfigSpace) -> AggregateInfo:

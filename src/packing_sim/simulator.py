@@ -38,7 +38,6 @@ from .config_space import (
     ConfigSpace,
     ConfigSpaceError,
     InvariantError,
-    config_key,
     sparse_state,
 )
 from .optimizer import Demand, StatePoint, aggregate_objective, objective
@@ -961,7 +960,7 @@ def write_snapshots_csv(space: ConfigSpace, snapshots, path) -> None:
     import json
 
     I = space.num_types
-    keys = [config_key(k) for k in space.configs]
+    keys = space.config_keys
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x"] + [f"{name}{i}" for name in ("y", "yhat", "ytilde")

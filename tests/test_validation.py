@@ -82,6 +82,9 @@ BAD_VALUES = {
                           "must have nonnegative integer entries"),
     "cli-x0-entry": ("fluid", {"x0": {"1": [1]}},
                      r"config entry 'x0' must be a number, got \[1\]"),
+    "cli-x0-list-entry": ("fluid", {"x0": [{}, 1]},
+                          r"config entry 'x0' must be a number, got \{\}"),
+    "cli-x0-type": ("fluid", {"x0": 5}, "config entry 'x0' must be a list or an object, got 5"),
     "cli-profile-entry": ("enumerate", {"space": {"profile": {"B": [[3]], "b": [[1]]}}},
                           "profile dict needs 'B' and 'b' arrays"),
 }
@@ -168,6 +171,14 @@ def test_cli_reports_bad_value_without_traceback(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(match, err)
     assert "Traceback" not in err
+
+
+def test_cli_fluid_x0_flag_reports_bad_entry(tmp_path, capsys):
+    # The list form of --x0, like the config entry, converts entry by entry.
+    assert cli.main(["fluid", "--config", write_json(tmp_path, K12_CFG),
+                     "--x0", "[{}, 1]"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config entry 'x0' must be a number, got {}\n"
 
 
 def test_cli_parses_alt_placement():
