@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, count, repeat
@@ -446,11 +445,15 @@ class Simulation:
     mode), or one leaf per complete server state c with weight R_c Xc[c],
     R_c being the summed rate of the departure and expiry rows of c
     (token mode).  ``_bump`` is the only writer of X and the class totals
-    S; counts push their leaves on every change (``_bump``, ``_cc_move``),
-    so the total rate is the root and one draw walks down the tree: an
-    event costs O(I log n) for I types and n leaves.  Token replacements
-    draw the replaced token from one such tree per type, over the complete
-    states weighted by their free type-i slots.  Each step
+    S, one call per server move; counts push their leaves on every change
+    (``_bump``, ``_cc_add``), so the total rate is the root and one draw
+    walks down the tree: an event costs O(I log n) for I types and n
+    leaves.  Token replacements draw the replaced token from one such tree
+    per type, over the complete states weighted by their free type-i
+    slots.  In token mode the engine builds a record per server state the
+    first time it touches the state (``_record``: R_c, the replacement
+    trees with free slots, and the departure and expiry rows), so an event
+    reads fixed per-state values instead of recomputing them.  Each step
     checks the root against the O(I) formula of ``_analytic_rate``.
     """
 
@@ -529,7 +532,7 @@ class Simulation:
         if self._closed:
             for i in range(I):
                 count = _round_half_up(float(self.demand.rho[i]) * self.r)
-                self._bump(space.unit_index[i], count)
+                self._bump(-1, space.unit_index[i], count)
                 self.Yhat[i] = count
             self._y0 = list(self.Yhat)
         else:
@@ -537,8 +540,9 @@ class Simulation:
         self._x0 = list(self.X)
 
     def _bind_placement(self):
-        """Fix the placement rules once: ``_place(i)`` for arrivals and
-        ``_place_anchored(i, departed_edge)`` for re-placements."""
+        """Fix the placement rules once: ``_place(i)`` for arrivals and, with
+        ``alt_placement``, ``_place_anchored(i, departed_edge)`` for
+        re-placements (None without it: re-placements then use ``_place``)."""
         state = self.state
         rng = self.rng
         d = self.config.discipline
@@ -550,29 +554,41 @@ class Simulation:
         alt = self.config.alt_placement
 
         def anchored(i, departed_edge):
-            if alt is None or (alt.mix > 0.0 and rng.random() < alt.mix):
+            if alt.mix > 0.0 and rng.random() < alt.mix:
                 return place(i)
             return place_alt(state, i, departed_edge, rng, alt.epsilon)
         self._place = place
-        self._place_anchored = anchored
+        self._place_anchored = None if alt is None else anchored
 
     # -- low-level count updates ------------------------------------------
 
-    def _bump(self, t_idx: int, delta: int, push: bool = True):
-        """Change X[t_idx] by delta, with the class totals, the staleness of
-        the placement weights, the memo of re-placements and (``push``) the
-        edge leaves.  The memo is replaced, not cleared: a closed
+    def _bump(self, k_from: int, k_to: int, n: int = 1, push: bool = True):
+        """Move n servers from configuration k_from to k_to (-1: none), with
+        the class totals, the staleness of the placement weights, the memo
+        of re-placements and (``push``) the edge leaves.  An edge (base b,
+        target t) gains a customer by ``_bump(b, t)`` and loses one by
+        ``_bump(t, b)``.  The memo is replaced, not cleared: a closed
         re-placement that goes back to its edge restores X and the memo it
         held before."""
-        self.X[t_idx] += delta
-        if self.S is not None:
-            self.S[self._class_of[t_idx]] += delta
+        X = self.X
+        S = self.S
+        if k_from >= 0:
+            X[k_from] -= n
+            if S is not None:
+                S[self._class_of[k_from]] -= n
+        if k_to >= 0:
+            X[k_to] += n
+            if S is not None:
+                S[self._class_of[k_to]] += n
         if self._weights:
-            self._stale.add(t_idx)
+            self._stale.update((k_from, k_to))
+            self._stale.discard(-1)
         if self._stay:
             self._stay = set()
         if push:
-            self._push(t_idx)
+            for k in (k_from, k_to):
+                if k >= 0:
+                    self._push(k)
 
     def _push(self, t_idx: int):
         """Refresh the leaves of the edges into config t_idx."""
@@ -581,20 +597,13 @@ class Simulation:
         for p, coef in self._into[t_idx]:
             _tree_set(tree, p, coef * x)
 
-    def _shift(self, e: int, delta: int, push: bool = True):
-        """Add (delta 1) or remove (delta -1) one customer on edge e."""
-        self._bump(self.space.edge_target[e], delta, push)
-        b = self.space.edge_base[e]
-        if b >= 0:
-            self._bump(b, -delta, push)
-
     def _build_complete(self, cap: int):
         """Complete server states: (config k, held actual customers h <= k).
 
         The tables of ``ConfigSpace.server_states`` are shared by every
-        engine on the space; ``_cc_*`` name them here.  A server in state c
-        leaves at rate ``_cc_rate[c]``: held_i mu_i per type for actual
-        departures plus free_i mu0 for token expiries.
+        engine on the space; ``_cc_*`` name them here.  The rates of a
+        state live in its record (``_record``), built when the engine
+        first touches the state.
         """
         space = self.space
         if space.num_server_states > cap:
@@ -602,57 +611,87 @@ class Simulation:
         (self._cc_first, self._cc_stride, self._cc_config, self._cc_held,
          self._cc_free, self._cc_up, self._cc_down) = space.server_states
         S = len(self._cc_config)
-        held = np.frombuffer(self._cc_held, dtype=np.intc).reshape(S, -1)
-        free = np.frombuffer(self._cc_free, dtype=np.intc).reshape(S, -1)
-        mu0 = float(self.config.token_rate)
-        # Summed type by type, as a Python sum over held_i mu_i would.
-        rate = np.zeros(S)
-        for i, m in enumerate(self._mu):
-            rate += held[:, i] * m
-        rate += free.sum(axis=1) * mu0
-        self._cc_rate = array("d", rate.tobytes())
-        self._mu0 = mu0
+        self._mu0 = float(self.config.token_rate)
         self.Xc = [0] * S
+        self._rec = [None] * S
         # One tree per type over the states, weighted by free_i * Xc[c]:
         # its total is Ytilde[i], and a draw picks a token uniformly.
         self._rep_size = _tree_size(S)
         self._rep_trees = [[0] * (2 * self._rep_size) for _ in range(space.num_types)]
 
+    def _record(self, c: int) -> tuple:
+        """The record of state c, built on first use and kept for the run:
+        (rate R_c, config k, replacement trees, rows).
+
+        R_c is the event-leaf rate of one server in c: held_i mu_i summed
+        over the types, then the tokens times mu0.  The replacement trees
+        are the (tree, free_i) pairs of the types with free slots.  The rows
+        are, per type, an actual departure (coef held_i mu_i) and a token
+        expiry (coef free_i mu0), each as (coef, type, actual, edge, next
+        state), rows of zero rate left out; the next state is -1 when the
+        server empties.  Records are per engine and lazy: the rates depend
+        on this engine's mu and mu0, and a run touches few of the states of
+        a large space.
+        """
+        I = self._ntypes
+        k = self._cc_config[c]
+        j = c * I
+        rate = 0.0
+        reps, rows = [], []
+        for i, mu in enumerate(self._mu):
+            h = self._cc_held[j + i]
+            f = self._cc_free[j + i]
+            e = self.space.edge_by_target[i].get(k)
+            rate += h * mu
+            if h:
+                # The departure leaves the state that held one customer less.
+                rows.append((h * mu, i, True, e,
+                             self._cc_down[(c - self._cc_stride[k * I + i]) * I + i]))
+            if f:
+                rows.append((f * self._mu0, i, False, e, self._cc_down[j + i]))
+                reps.append((self._rep_trees[i], f))
+        rate += sum(self._cc_free[j:j + I]) * self._mu0
+        rec = self._rec[c] = (rate, k, tuple(reps), tuple(rows))
+        return rec
+
     def _cc_move(self, c_from: int, c_to: int):
         """Move one server between complete states (-1: no server).  The
         configuration counts change only with the configuration: a token
         replacement keeps it."""
-        k_from = k_to = -1
-        if c_from >= 0:
-            k_from = self._cc_config[c_from]
-            self._cc_set(c_from, self.Xc[c_from] - 1)
-        if c_to >= 0:
-            k_to = self._cc_config[c_to]
-            self._cc_set(c_to, self.Xc[c_to] + 1)
+        k_from = self._cc_add(c_from, -1) if c_from >= 0 else -1
+        k_to = self._cc_add(c_to, 1) if c_to >= 0 else -1
         if k_from != k_to:
-            if k_from >= 0:
-                self._bump(k_from, -1, push=False)
-            if k_to >= 0:
-                self._bump(k_to, 1, push=False)
+            self._bump(k_from, k_to, push=False)
 
-    def _cc_set(self, c: int, x: int):
-        """Set Xc[c] to x and push its event and replacement leaves."""
-        self.Xc[c] = x
-        _tree_set(self._tree, self._cc_leaf0 + c, self._cc_rate[c] * x)
-        p = self._rep_size + c
-        j = c * self._ntypes
-        for tree in self._rep_trees:
-            free = self._cc_free[j]
-            if free:
-                _tree_set(tree, p, free * x)
-            j += 1
+    def _cc_add(self, c: int, d: int) -> int:
+        """Add d to Xc[c], push its event leaf (as ``_tree_set`` does,
+        inline) and its replacement leaves, and return the configuration
+        of c."""
+        rate, k, reps, _ = self._rec[c] or self._record(c)
+        x = self.Xc[c] = self.Xc[c] + d
+        tree = self._tree
+        p = self._cc_leaf0 + c
+        tree[p] = rate * x
+        while p > 1:
+            v = tree[p] + tree[p ^ 1]
+            p >>= 1
+            tree[p] = v
+        # The replacement trees hold integers, so adding along the path is
+        # exact.
+        for tree, f in reps:
+            f *= d
+            p = self._rep_size + c
+            while p:
+                tree[p] += f
+                p >>= 1
+        return k
 
     def _put(self, i: int, departed_edge: int = -1, actual: bool = True) -> int:
         """Place one type-i customer, or a token when not ``actual``; a
         re-placement after a departure from ``departed_edge`` uses the
         anchored rule.  Returns the edge taken."""
         space = self.space
-        if departed_edge >= 0:
+        if departed_edge >= 0 and self._place_anchored:
             e2 = self._place_anchored(i, departed_edge)
         else:
             e2 = self._place(i)
@@ -660,7 +699,7 @@ class Simulation:
         b2 = space.edge_base[e2]
         if not self._tokens:
             # Closed mode pushes the leaves after the re-placement.
-            self._shift(e2, +1, push=not self._closed)
+            self._bump(b2, t2, push=not self._closed)
         elif b2 < 0:
             # A new server holding only a token, or only the customer.
             c = self._cc_first[t2]
@@ -674,41 +713,6 @@ class Simulation:
                 nxt += self._cc_stride[t2 * self._ntypes + i]
             self._cc_move(chosen, nxt)
         return e2
-
-    def _state_row(self, c: int, u: float) -> tuple:
-        """(type, actual, edge, next state) of the event of state c whose
-        slice of the rate R_c Xc[c] holds ``u``.
-
-        The rows of c are, per type, an actual departure (held_i mu_i),
-        then a token expiry (free_i mu0), each times Xc[c].  A remainder
-        past the last row (rounding) takes the last one.  The next state
-        is -1 when the server empties.
-        """
-        I = self._ntypes
-        x = self.Xc[c]
-        held = self._cc_held
-        free = self._cc_free
-        mu = self._mu
-        acc = 0.0
-        j0 = c * I
-        for j in range(I):
-            h = held[j0 + j]
-            if h:
-                acc += h * mu[j] * x
-                i, actual = j, True
-                if u < acc:
-                    break
-            f = free[j0 + j]
-            if f:
-                acc += f * self._mu0 * x
-                i, actual = j, False
-                if u < acc:
-                    break
-        k_idx = self._cc_config[c]
-        if actual:
-            # The departure leaves the state that held one customer less.
-            c -= self._cc_stride[k_idx * I + i]
-        return i, actual, self.space.edge_by_target[i][k_idx], self._cc_down[c * I + i]
 
     # -- event drawing and application --------------------------------------
 
@@ -770,8 +774,15 @@ class Simulation:
 
         space = self.space
         if self._tokens:
+            # The row of state c whose slice of R_c Xc[c] holds u; a
+            # remainder past the last row (rounding) takes the last one.
             c = leaf - I
-            i, actual, e, nxt = self._state_row(c, u)
+            x = self.Xc[c]
+            acc = 0.0
+            for coef, i, actual, e, nxt in self._rec[c][3]:
+                acc += coef * x
+                if u < acc:
+                    break
             self._cc_move(c, nxt)
         else:
             e = leaf - I
@@ -783,7 +794,7 @@ class Simulation:
                 return
             i = space.edge_type[e]
             actual = True
-            self._shift(e, -1, push=not self._closed)
+            self._bump(space.edge_target[e], space.edge_base[e], push=not self._closed)
         self.departures[e] += 1
         if not actual:
             self.exp_dep[e] += 1

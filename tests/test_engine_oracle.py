@@ -54,6 +54,13 @@ CASES = {
                                  alt_placement=AltPlacement(0.5))),
     "b3-token-ac": (b3, dict(r=1000, seed=4, horizon=20.0, burn_in=5.0, mode="open",
                              discipline="greedy-dm-ac", token_rate=20.0)),
+    # Criterion 5's instance shape.
+    "k12-token": (k12, dict(r=1000, seed=12, horizon=20.0, burn_in=5.0, mode="open",
+                            discipline="greedy-dm", token_rate=1.0)),
+    # Non-integral departure and expiry coefficients on a small space.
+    "b3-token-dm": (lambda: b3((0.7, 1.3)), dict(r=1000, seed=13, horizon=20.0, burn_in=5.0,
+                                                 mode="open", discipline="greedy-dm",
+                                                 token_rate=1.7)),
     "b3-closed-d": (b3, dict(r=1000, seed=10, horizon=20.0, burn_in=5.0)),
     "b3-open-i": (lambda: b3((0.7, 1.3)), dict(r=1000, seed=5, horizon=20.0, burn_in=5.0,
                                                mode="open", discipline="greedy-i")),
@@ -71,11 +78,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_frozen_engine(name):
-    make, fields = CASES[name]
-    space, demand = make()
-    cfg = SimConfig(space=space, demand=demand, alpha=1.0, **fields)
+def assert_matches_oracle(cfg):
     new = run(cfg)
     old = oracle_engine.run(cfg)
     assert new.summary["n_events"] > 0
@@ -83,6 +86,27 @@ def test_matches_frozen_engine(name):
     assert len(new.snapshots) == len(old.snapshots)
     if new.snapshots:
         assert vars(new.snapshots[-1]) == vars(old.snapshots[-1])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_frozen_engine(name):
+    make, fields = CASES[name]
+    space, demand = make()
+    assert_matches_oracle(SimConfig(space=space, demand=demand, alpha=1.0, **fields))
+
+
+def test_token_engines_with_other_rates_share_one_space():
+    # A, then B, then A again on one space object: the state rates belong
+    # to each engine, not to the space.
+    space, _ = b3()
+    fields = dict(r=300, alpha=1.0, horizon=10.0, burn_in=2.0, mode="open",
+                  discipline="greedy-dm")
+    a = dict(demand=Demand(np.array([0.5, 0.25]), np.array([1.0, 1.0])), token_rate=20.0,
+             seed=14)
+    b = dict(demand=Demand(np.array([0.5, 0.25]), np.array([0.7, 1.3])), token_rate=1.7,
+             seed=15)
+    for rates in (a, b, a):
+        assert_matches_oracle(SimConfig(space=space, **rates, **fields))
 
 
 def _engines():
@@ -112,6 +136,22 @@ def test_draw_at_total_falls_back_to_last_positive_leaf(mode):
     assert sim.total_rate() == pytest.approx(sim._analytic_rate())
 
 
+def test_departure_remainder_past_last_row_takes_it():
+    # One server in state (2,) with h = 1: rows are the customer's departure
+    # (mu 1) and the token's expiry (mu0 1).  u equal to the total leaves a
+    # remainder past both rows, which must take the last one: the expiry.
+    sim = _engines()["token"]
+    k2 = sim.space.config_index((2,))
+    sim._cc_move(-1, sim._cc_first[k2] + sim._cc_stride[k2])
+    sim.Yhat[0] = 1
+    sim.Ytilde[0] = 1
+    sim._apply(sim.total_rate())
+    assert sum(sim.exp_dep) == 1
+    assert sim.Ytilde[0] == 0
+    assert sim.Yhat[0] == 1
+    assert sim.total_rate() == sim._analytic_rate()
+
+
 def test_invariants_survive_optimize_flag():
     code = textwrap.dedent("""
         import numpy as np
@@ -121,7 +161,7 @@ def test_invariants_survive_optimize_flag():
         space = validate_explicit_configs([(1,), (2,)])
         sim = Simulation(SimConfig(space=space, demand=Demand(np.ones(1), np.ones(1)),
                                    r=10, alpha=1.0))
-        sim._bump(0, 5)
+        sim._bump(-1, 0, 5)
         try:
             for _ in range(20):
                 sim.step()

@@ -214,7 +214,7 @@ class TestPlaceAlt:
     def alt_engine(space, demand, counts, **fields):
         sim = Simulation(SimConfig(space=space, demand=demand, r=10, **fields))
         for t, v in enumerate(counts):
-            sim._bump(t, v - sim.X[t])
+            sim._bump(-1, t, v - sim.X[t])
         return sim
 
     def test_mix_falls_through_to_standard_rule(self):

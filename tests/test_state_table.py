@@ -1,6 +1,6 @@
-"""The token engine's flat server-state table against the tuple-keyed
-enumeration of (config, held config) pairs, rebuilt here on its own, plus
-the state cap and repeated engines on one space."""
+"""The token engine's flat server-state table and per-state records against
+the tuple-keyed enumeration of (config, held config) pairs, rebuilt here on
+its own, plus the state cap and repeated engines on one space."""
 
 import json
 from itertools import product
@@ -64,7 +64,25 @@ def test_state_table_matches_enumeration(make):
         rate = 0
         for h, m in zip(held, mu):
             rate += h * m
-        assert sim._cc_rate[c] == rate + (sum(k) - sum(held)) * TOKEN_RATE
+        rec_rate, rec_k, reps, rows = sim._record(c)
+        assert rec_rate == rate + (sum(k) - sum(held)) * TOKEN_RATE
+        assert rec_k == k_idx
+        # Per type an actual departure, then a token expiry; none at rate 0.
+        expect_rows, expect_reps = [], []
+        for i in range(I):
+            k_down = space.down_index[k_idx][i]
+            if held[i]:
+                nxt = -1 if k_down < 0 else index[(k_down, space.down_index[khat_idx][i])]
+                expect_rows.append((held[i] * mu[i], i, True, space.edge_index(k, i), nxt))
+            if k[i] > held[i]:
+                nxt = -1 if k_down < 0 else index[(k_down, khat_idx)]
+                expect_rows.append(((k[i] - held[i]) * TOKEN_RATE, i, False,
+                                    space.edge_index(k, i), nxt))
+                expect_reps.append((i, k[i] - held[i]))
+        assert rows == tuple(expect_rows)
+        assert len(reps) == len(expect_reps)
+        for (tree, f), (i, free) in zip(reps, expect_reps):
+            assert tree is sim._rep_trees[i] and f == free
         for i in range(I):
             k_up = space.up_index[k_idx][i]
             k_down = space.down_index[k_idx][i]
