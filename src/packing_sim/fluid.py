@@ -30,7 +30,6 @@ from .optimizer import (
     StatePoint,
     _edge_mass_coefficients,
     _weight_diffs,
-    objective,
     project_to_polytope,
 )
 
@@ -65,14 +64,19 @@ def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
     is split equally among the type's winners (available tied edges).
     """
     edge_type, target, base = space.edge_arrays
-    unit = base < 0
-    starts = [edges[0] for edges in space.edges_of_type]
+    starts = np.array([edges[0] for edges in space.edges_of_type], dtype=np.intp)
     coef = _edge_mass_coefficients(space, demand)
+    n = space.num_configs
+    # max(x, 0), then the 0 that base -1 (the empty server) reads; never returned.
+    xp = np.zeros(n + 1)
+    head = xp[:n]
 
     def flows(x):
-        xp = np.append(np.maximum(x, 0.0), 0.0)
+        np.maximum(x, 0.0, out=head)
         delta = _weight_diffs(xp, alpha, target, base)
-        avail = unit | (xp[base] > DEFAULT_FEAS_EPS)
+        pos = xp > DEFAULT_FEAS_EPS
+        pos[n] = True  # an empty-server base is always available
+        avail = pos[base]
         m = np.minimum.reduceat(np.where(avail, delta, np.inf), starts)
         tied = delta <= m[edge_type] + DEFAULT_TIE_TOL
         winners = avail & tied
@@ -104,7 +108,9 @@ def integrate(
     One step is ``x + dt * M @ flow`` with ``flow`` the net rates of
     ``flows(x)`` and M the configs x edges
     incidence matrix (+1 at an edge's target, -1 at its base); a step
-    that leaves a negative coordinate is clipped and re-projected.
+    that leaves a negative coordinate is clipped and re-projected.  The
+    objective column is computed once, over all rows of the finished
+    path, with the bits ``objective`` gives row by row.
     """
     if dt <= 0 or horizon < 0:
         raise ValueError("need dt > 0 and horizon >= 0")
@@ -125,25 +131,28 @@ def integrate(
     # C order: a strided M falls off numpy's fast matrix-vector path.
     M = np.ascontiguousarray((eye[target] - eye[base]).T)
 
-    xs = [x]
-    for _ in range(n_steps):
+    states = np.empty((n_steps + 1, n))
+    states[0] = x
+    for s in range(1, n_steps + 1):
         x = x + dt * (M @ flows(x)[1])
         if x.min() < 0.0:
             x = project_to_polytope(A, rho, np.maximum(x, 0.0))
-        drifted = np.flatnonzero(~(np.abs(A @ x - rho) < 1e-6))
-        if len(drifted):
+        err = np.abs(A @ x - rho)
+        if not err.max() < 1e-6:  # NaN fails too
+            drifted = np.flatnonzero(~(err < 1e-6))
             raise InvariantError(f"type {drifted[0]}: per-type conservation drifted")
         hi = x.max()
         if hi > bound:
             raise IntegrationError(
                 f"state coordinate {hi:.3g} exceeds bound {bound:.3g}; reduce dt"
             )
-        xs.append(x)
+        states[s] = x
 
+    p = 1.0 + alpha
     return FluidTrajectory(
         times=np.arange(n_steps + 1) * dt,
-        states=np.asarray(xs),
-        objective_values=np.asarray([objective(StatePoint(x, alpha)) for x in xs]),
+        states=states,
+        objective_values=np.sum(np.maximum(states, 0.0) ** p, axis=1) / p,
     )
 
 

@@ -141,7 +141,7 @@ def project_to_polytope(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarr
     exactly on that face.
     """
     z = np.asarray(z, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(z))))
+    scale = max(1.0, float(abs(b).max()), float(abs(z).max()))
     for free in (z > 0, np.ones(len(z), dtype=bool)):
         x, nu = _face_projection(A, b, z, free, scale)
         if x is not None:
@@ -161,24 +161,23 @@ def _face_projection(A, b, z, free, scale):
     """The projection of z if its free coordinates are ``free``, else None,
     and the multipliers nu of the equality-constrained projection."""
     AF = A[:, free]
-    zf = z[free]
     G = AF @ AF.T
-    rhs = b - AF @ zf
+    rhs = b - AF @ z[free]
     try:
         nu = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
         nu = np.linalg.lstsq(G, rhs, rcond=None)[0]
-    xf = zf + nu @ AF
+    # Free coordinates of v are the face's solution, pinned ones its bound
+    # multipliers with the sign flipped.
+    v = z + nu @ A
+    xf = v[free]
     if np.abs(AF @ xf - b).max() > 1e-8 * scale:
         return None, nu  # the equality system is inconsistent on this face
-    if len(xf) and xf.min() < -1e-12 * scale:
+    if xf.min(initial=np.inf) < -1e-12 * scale:
         return None, nu
-    pinned = ~free
-    if pinned.any() and (z[pinned] + nu @ A[:, pinned]).max() > 1e-10 * scale:
+    if v[~free].max(initial=-np.inf) > 1e-10 * scale:
         return None, nu  # a pinned coordinate has a negative bound multiplier
-    x = np.zeros(len(z))
-    x[free] = np.maximum(xf, 0.0)
-    return x, nu
+    return np.maximum(np.where(free, v, 0.0), 0.0), nu
 
 
 def _dual_newton(K, b, alpha, eta0, z=None):

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import oracle_fluid
+import oracle_optimizer
+from packing_sim import fluid, optimizer
 from packing_sim.config_space import (
     ResourceProfile,
     enumerate_configs,
     validate_explicit_configs,
 )
 from packing_sim.fluid import DEFAULT_FEAS_EPS, greedy_rate_allocation, integrate
-from packing_sim.optimizer import Demand, StatePoint
+from packing_sim.optimizer import Demand, StatePoint, objective
 
 PROFILE_48 = ResourceProfile((1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))
 PROFILE_428 = ResourceProfile(
@@ -66,6 +68,74 @@ def test_integrate_follows_oracle(name, alpha):
     assert got.states.shape == want.states.shape
     assert np.max(np.abs(got.states - want.states)) <= TOL
     assert np.max(np.abs(got.objective_values - want.objective_values)) <= TOL
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("name", NAMES)
+def test_objective_values_are_the_objective_of_each_state(name, alpha):
+    # integrate computes the whole column in one pass; it must give the
+    # bits that objective() gives row by row.
+    space, demand = instance(name)
+    x0, _ = oracle_path(name, alpha)
+    got = integrate(space, x0, demand, alpha, horizon=5.0, dt=0.01)
+    want = [objective(StatePoint(x, alpha)) for x in got.states]
+    assert np.array_equal(got.objective_values, want)
+
+
+@pytest.mark.parametrize("name,calls", [("48", 347), ("428", 657)])
+def test_projections_met_along_fluid_paths(monkeypatch, name, calls):
+    """Every clip-and-project of the alpha sweep against the active-set
+    oracle, with the branch each projection took: the face {z > 0} at
+    once, or the fallback through dual Newton."""
+    space, demand = instance(name)
+    x0, _ = oracle_path(name, 1.0)
+    real_project, real_face, real_newton = (
+        optimizer.project_to_polytope, optimizer._face_projection, optimizer._dual_newton)
+    seen, branch = [], {}
+
+    def face(*a):
+        branch["faces"] += 1
+        return real_face(*a)
+
+    def newton(*a, **kw):
+        branch["newton"] = True
+        return real_newton(*a, **kw)
+
+    def project(A, b, z):
+        branch.update(faces=0, newton=False)
+        x = real_project(A, b, z)
+        seen.append((A, b, z.copy(), x, dict(branch)))
+        return x
+
+    monkeypatch.setattr(optimizer, "_face_projection", face)
+    monkeypatch.setattr(optimizer, "_dual_newton", newton)
+    monkeypatch.setattr(fluid, "project_to_polytope", project)
+    for alpha in ALPHAS:
+        integrate(space, x0, demand, alpha, horizon=5.0, dt=0.01)
+    assert len(seen) == calls
+    for A, b, z, x, _ in seen:
+        scale = max(1.0, np.abs(b).max(), np.abs(z).max())
+        assert np.max(np.abs(x - oracle_optimizer.project_to_polytope(A, b, z))) <= TOL
+        assert np.max(np.abs(A @ x - b)) <= 1e-13 * scale
+    taken = [br for *_, br in seen]
+    assert {"faces": 1, "newton": False} in taken
+    assert any(br["newton"] for br in taken)
+
+
+def test_flows_buffer_does_not_leak():
+    space, demand = instance("48")
+    flows = fluid._greedy_flows(space, demand, 1.0)
+    x0, path = oracle_path("48", 1.0)
+    x1, x2 = path.states[100], path.states[-1]
+    first = flows(x1)
+    kept = [a.copy() for a in first]
+    flows(x2)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+    start = x0.copy()
+    got = integrate(space, x0, demand, 1.0, horizon=1.0, dt=0.01)
+    assert np.array_equal(got.states[0], start)
+    assert np.array_equal(x0, start)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
