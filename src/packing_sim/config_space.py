@@ -26,12 +26,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -233,72 +231,27 @@ class ConfigSpace:
         return tuple(map(config_key, self.configs))
 
     @cached_property
-    def num_server_states(self) -> int:
-        """Number of pairs (configuration k, held counts h <= k)."""
-        return sum(math.prod(v + 1 for v in k) for k in self.configs)
+    def state_places(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(first, stride) of the token engine's server states (k, h):
+        configuration k holding h <= k actual customers, the other k - h
+        slots being tokens.
 
-    @cached_property
-    def server_states(self) -> "ServerStates":
-        """The token engine's table of server states, built once per space.
-
-        Check ``num_server_states`` against a cap before the first access:
-        the table holds that many rows.
+        The states of k are consecutive from ``first[k]``, in lexicographic
+        order of h, numbered by the mixed radix k_i + 1: state
+        ``first[k] + sum_i h_i stride[k * I + i]``.  ``first`` ends with
+        the number of states, so it can be checked against a cap before
+        anything of that size is allocated.
         """
-        return _server_states(self)
-
-
-class ServerStates(NamedTuple):
-    """Flat int32 tables over the server states (k, h): configuration k
-    holding h <= k actual customers, the other k - h slots being tokens.
-
-    The states of k are consecutive from ``first[k]``, in lexicographic
-    order of h: state ``first[k] + sum_i h_i stride[k * I + i]``, so one
-    more type-i customer is the index plus ``stride[k * I + i]``.
-    Indexed state times I plus type, ``held`` holds h_i, ``free`` the
-    k_i - h_i tokens, and ``up``/``down`` the state with the same h in
-    configuration k + e_i or k - e_i (-1 when that configuration is
-    empty, absent or cannot hold h).  ``config_of[c]`` is k.
-    """
-
-    first: array
-    stride: array
-    config_of: array
-    held: array
-    free: array
-    up: array
-    down: array
-
-
-def _server_states(space: ConfigSpace) -> ServerStates:
-    K = np.array(space.configs, dtype=np.intc)
-    radix = K + 1
-    sizes = radix.prod(axis=1, dtype=np.intc)
-    first = np.append(0, sizes).cumsum(dtype=np.intc)
-    S = int(first[-1])
-    stride = sizes[:, None] // radix.cumprod(axis=1, dtype=np.intc)
-    config_of = np.repeat(np.arange(len(K), dtype=np.intc), sizes)
-    local = (np.arange(S, dtype=np.intc) - first[config_of])[:, None]
-    place = stride[config_of]
-    held = local // place % radix[config_of]
-    free = K[config_of] - held
-    # In k +- e_i digit i counts one value more or less, so every higher
-    # digit's place value moves by its count times stride_i.
-    shift = local // (place * radix[config_of]) * place
-
-    def same_held(near, offset):
-        # None (no such config) reads as nan, which fmax turns into -1.
-        near = np.fmax(np.array(near, dtype=float), -1).astype(np.intc)[config_of]
-        return np.where(near >= 0, first[near] + offset, -1)
-
-    up = same_held(space.up_index, local + shift)
-    down = same_held(space.down_index, local - shift)
-    down[free == 0] = -1
-
-    def ints(a):
-        return array("i", a.astype(np.intc).tobytes())
-
-    return ServerStates(ints(first), ints(stride), ints(config_of), ints(held),
-                        ints(free), ints(up), ints(down))
+        first, stride = [0], []
+        for k in self.configs:
+            places = []
+            size = 1
+            for v in reversed(k):
+                places.append(size)
+                size *= v + 1
+            stride += reversed(places)
+            first.append(first[-1] + size)
+        return tuple(first), tuple(stride)
 
 
 def _check_vector(config: Sequence[int], num_types: int) -> Configuration:

@@ -369,8 +369,8 @@ def solve_aggregate_optimum(
     rho = demand.rho
     m, n = A.shape
     inv = 1.0 / alpha
-    # Flat (class, column) bins of an n x (m + 1) block, for class sums.
-    flat = (cls[:, None] * (m + 1) + np.arange(m + 1)).ravel()
+    # Flat (class, column) bins of an n x m block, for class sums.
+    flat = (cls[:, None] * m + np.arange(m)).ravel()
     feas_tol = 1e-12 * max(1.0, float(np.max(np.abs(rho))))
 
     def dual(eta):
@@ -387,22 +387,34 @@ def solve_aggregate_optimum(
     for _ in range(100):
         s = np.bincount(cls, x, nq)
         rp = A @ x - rho
-        gap = float(np.sum(s ** (1.0 + alpha))) / (1.0 + alpha) - dual(eta)
         xz = float(x @ z)
-        if float(np.max(np.abs(rp))) <= feas_tol and gap <= 1e-10 and xz <= 1e-16 * n:
+        # The dual is read only once feasibility and complementarity hold.
+        if (float(np.max(np.abs(rp))) <= feas_tol and xz <= 1e-16 * n
+                and float(np.sum(s ** (1.0 + alpha))) / (1.0 + alpha) - dual(eta) <= 1e-10):
             break
         rd = s[cls] ** alpha - K @ eta - z
         dinv = x / z
         den = s ** (1.0 - alpha) / alpha + np.bincount(cls, dinv, nq)
 
+        def w_inv(cols, out, bins):
+            # W^-1 cols into out: D^-1 cols minus, per class, D^-1 1
+            # (1^T D^-1 cols) / (s^(1-a)/a + 1^T D^-1 1).
+            out[:] = cols * dinv[:, None]
+            S = np.bincount(bins, out.ravel(), nq * out.shape[1]).reshape(nq, -1)
+            out -= dinv[:, None] * (S / den[:, None])[cls]
+
+        # W^-1 [K, r] as one column-major block, like K: the K columns and
+        # their reduced matrix serve both directions, and each direction
+        # refills the last column, wr.
+        V = np.empty((n, m + 1), order="F")
+        WK, wr = V[:, :m], V[:, m]
+        w_inv(K, WK, flat)
+        AWK = A @ WK
+
         def direction(rc):
-            # W^-1 [K, r] in one pass: D^-1 V minus, per class, D^-1 1
-            # (1^T D^-1 V) / (s^(1-a)/a + 1^T D^-1 1).
-            V = np.column_stack((K, rd + rc / x)) * dinv[:, None]
-            S = np.bincount(flat, V.ravel(), nq * (m + 1)).reshape(nq, m + 1)
-            V -= dinv[:, None] * (S / den[:, None])[cls]
-            deta = np.linalg.solve(A @ V[:, :m], A @ V[:, m] - rp)
-            dx = V[:, :m] @ deta - V[:, m]
+            w_inv((rd + rc / x)[:, None], V[:, m:], cls)
+            deta = np.linalg.solve(AWK, A @ wr - rp)
+            dx = WK @ deta - wr
             return dx, -(rc + z * dx) / x, deta
 
         try:

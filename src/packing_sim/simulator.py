@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, count, repeat
@@ -451,9 +452,10 @@ class Simulation:
     leaves.  Token replacements draw the replaced token from one such tree
     per type, over the complete states weighted by their free type-i
     slots.  In token mode the engine builds a record per server state the
-    first time it touches the state (``_record``: R_c, the replacement
-    trees with free slots, and the departure and expiry rows), so an event
-    reads fixed per-state values instead of recomputing them.  Each step
+    first time it touches the state, decoded from the state's index
+    (``_record``: R_c, the replacement trees with free slots, the departure
+    and expiry rows, and the states one type up), so an event reads fixed
+    per-state values instead of recomputing them.  Each step
     checks the root against the O(I) formula of ``_analytic_rate``.
     """
 
@@ -501,8 +503,7 @@ class Simulation:
         self.exp_dep = [0] * E if self._tokens else None
         self.n_events = 0
 
-        mu = self.demand.service
-        self._mu = [float(v) for v in mu]
+        self._mu = [float(v) for v in self.demand.service]
         self._arr_rate = [float(self.demand.arrival[i]) * self.r for i in range(I)]
         self._arr_total = 0.0 if self._closed else sum(self._arr_rate)
         self._mu0 = 0.0
@@ -516,24 +517,22 @@ class Simulation:
         self._size = size = _tree_size(leaves)
         self._tree = [0.0] * (2 * size)
         self._cc_leaf0 = size + I
-        # Edge leaves pushed when X[t] changes: (tree position, k_i mu_i)
-        # for every edge into t.  Token mode keeps no edge leaves.
-        into = [[] for _ in range(n)]
         if not self._tokens:
-            for e in range(E):
-                i = space.edge_type[e]
-                t = space.edge_target[e]
-                into[t].append((size + I + e, float(space.configs[t][i] * mu[i])))
-        self._into = [tuple(v) for v in into]
+            # Edge leaves pushed when X[t] changes: (tree position, k_i mu_i)
+            # for every edge into t.  Token mode keeps no edge leaves.
+            self._into = into = [[] for _ in range(n)]
+            configs = space.configs
+            for p, i, t in zip(count(size + I), space.edge_type, space.edge_target):
+                into[t].append((p, configs[t][i] * self._mu[i]))
         if not self._closed:
             for i, rate in enumerate(self._arr_rate):
                 _tree_set(self._tree, size + i, rate)
 
         if self._closed:
             for i in range(I):
-                count = _round_half_up(float(self.demand.rho[i]) * self.r)
-                self._bump(-1, space.unit_index[i], count)
-                self.Yhat[i] = count
+                pop = _round_half_up(float(self.demand.rho[i]) * self.r)
+                self._bump(-1, space.unit_index[i], pop)
+                self.Yhat[i] = pop
             self._y0 = list(self.Yhat)
         else:
             self._y0 = [0] * I
@@ -598,30 +597,26 @@ class Simulation:
             _tree_set(tree, p, coef * x)
 
     def _build_complete(self, cap: int):
-        """Complete server states: (config k, held actual customers h <= k).
-
-        The tables of ``ConfigSpace.server_states`` are shared by every
-        engine on the space; ``_cc_*`` name them here.  The rates of a
-        state live in its record (``_record``), built when the engine
-        first touches the state.
-        """
-        space = self.space
-        if space.num_server_states > cap:
+        """Complete server states: (config k, held actual customers h <= k),
+        numbered by ``ConfigSpace.state_places``.  The engine keeps no
+        table of them: what an event needs of a state lives in its record
+        (``_record``), decoded from the state's index the first time the
+        engine touches it."""
+        self._cc_first, self._cc_stride = self.space.state_places
+        S = self._cc_first[-1]
+        if S > cap:
             raise ConfigSpaceError(f"token bookkeeping needs more than {cap} server states")
-        (self._cc_first, self._cc_stride, self._cc_config, self._cc_held,
-         self._cc_free, self._cc_up, self._cc_down) = space.server_states
-        S = len(self._cc_config)
         self._mu0 = float(self.config.token_rate)
         self.Xc = [0] * S
         self._rec = [None] * S
         # One tree per type over the states, weighted by free_i * Xc[c]:
         # its total is Ytilde[i], and a draw picks a token uniformly.
         self._rep_size = _tree_size(S)
-        self._rep_trees = [[0] * (2 * self._rep_size) for _ in range(space.num_types)]
+        self._rep_trees = [[0] * (2 * self._rep_size) for _ in range(self._ntypes)]
 
     def _record(self, c: int) -> tuple:
         """The record of state c, built on first use and kept for the run:
-        (rate R_c, config k, replacement trees, rows).
+        (rate R_c, config k, replacement trees, rows, up states).
 
         R_c is the event-leaf rate of one server in c: held_i mu_i summed
         over the types, then the tokens times mu0.  The replacement trees
@@ -629,29 +624,41 @@ class Simulation:
         are, per type, an actual departure (coef held_i mu_i) and a token
         expiry (coef free_i mu0), each as (coef, type, actual, edge, next
         state), rows of zero rate left out; the next state is -1 when the
-        server empties.  Records are per engine and lazy: the rates depend
-        on this engine's mu and mu0, and a run touches few of the states of
-        a large space.
+        server empties.  ``up[i]`` is the state with the same h in k + e_i
+        (-1 when k + e_i is not in the space).  Records are per engine and
+        lazy: the rates depend on this engine's mu and mu0, and a run
+        touches few of the states of a large space.
         """
-        I = self._ntypes
-        k = self._cc_config[c]
-        j = c * I
+        space = self.space
+        first = self._cc_first
+        k = bisect_right(first, c) - 1
+        local = c - first[k]
+        j = k * self._ntypes
         rate = 0.0
-        reps, rows = [], []
-        for i, mu in enumerate(self._mu):
-            h = self._cc_held[j + i]
-            f = self._cc_free[j + i]
-            e = self.space.edge_by_target[i].get(k)
+        tokens = 0
+        reps, rows, up = [], [], []
+        for i, (mu, ki, ku, kd) in enumerate(zip(
+                self._mu, space.configs[k], space.up_index[k], space.down_index[k])):
+            # Digit i of local, and the shift of the higher digits' place
+            # values in k +- e_i, where digit i counts one value more or less.
+            s = self._cc_stride[j + i]
+            h = local // s % (ki + 1)
+            shift = local // (s * (ki + 1)) * s
+            f = ki - h
+            e = space.edge_by_target[i].get(k)
             rate += h * mu
+            tokens += f
+            # The same h in k - e_i (-1: the server empties).
+            down = first[kd] + local - shift if kd is not None and kd >= 0 else -1
             if h:
                 # The departure leaves the state that held one customer less.
-                rows.append((h * mu, i, True, e,
-                             self._cc_down[(c - self._cc_stride[k * I + i]) * I + i]))
+                rows.append((h * mu, i, True, e, down - s if down >= 0 else -1))
             if f:
-                rows.append((f * self._mu0, i, False, e, self._cc_down[j + i]))
+                rows.append((f * self._mu0, i, False, e, down))
                 reps.append((self._rep_trees[i], f))
-        rate += sum(self._cc_free[j:j + I]) * self._mu0
-        rec = self._rec[c] = (rate, k, tuple(reps), tuple(rows))
+            up.append(-1 if ku is None else first[ku] + local + shift)
+        rate += tokens * self._mu0
+        rec = self._rec[c] = (rate, k, tuple(reps), tuple(rows), tuple(up))
         return rec
 
     def _cc_move(self, c_from: int, c_to: int):
@@ -667,7 +674,7 @@ class Simulation:
         """Add d to Xc[c], push its event leaf (as ``_tree_set`` does,
         inline) and its replacement leaves, and return the configuration
         of c."""
-        rate, k, reps, _ = self._rec[c] or self._record(c)
+        rate, k, reps, _, _ = self._rec[c] or self._record(c)
         x = self.Xc[c] = self.Xc[c] + d
         tree = self._tree
         p = self._cc_leaf0 + c
@@ -708,7 +715,7 @@ class Simulation:
             # A server in config b2, drawn by its count, takes the customer.
             chosen = _pick(range(self._cc_first[b2], self._cc_first[b2 + 1]), self.Xc,
                            self.rng.random() * self.X[b2])
-            nxt = self._cc_up[chosen * self._ntypes + i]
+            nxt = self._rec[chosen][4][i]
             if actual:
                 nxt += self._cc_stride[t2 * self._ntypes + i]
             self._cc_move(chosen, nxt)
@@ -763,7 +770,7 @@ class Simulation:
                 c, _ = _tree_find(
                     self._rep_trees[i], self._rep_size, self.rng.random() * self.Ytilde[i]
                 )
-                k_idx = self._cc_config[c]
+                k_idx = self._rec[c][1]
                 self._cc_move(c, c + self._cc_stride[k_idx * I + i])
                 self.rep_arr[self.space.edge_by_target[i][k_idx]] += 1
                 self.Ytilde[i] -= 1

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,20 @@ class TestExperiment:
         monkeypatch.setattr(cli_mod, "run_experiment", fake)
         cfg = write_config(tmp_path, r_grid=[10])
         assert main(["experiment", "--config", cfg, "--check"]) == 2
+
+    def test_profile_e_token_config(self, tmp_path, capsys):
+        # The committed smoke config on the largest space (2,787 configs,
+        # 331,128 server states).
+        cfg = Path(__file__).parent.parent / "experiments" / "profile-e-token.json"
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--check"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["experiment"]["space"]["num_configs"] == 2787
+        assert not report["partial"]
+        (cell,) = report["cells"]
+        (rep,) = cell["replications"]
+        assert rep["n_events"] > 0
+        assert rep["y_conservation"] == 0
 
 
 class TestPlumbing:

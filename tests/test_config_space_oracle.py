@@ -108,7 +108,7 @@ def test_space_equals_oracle(name):
 
     new, old = SPACES[name](current), SPACES[name](oracle)
     assert_same_space(new, old)
-    assert new.server_states == old.server_states
+    assert new.state_places == old.state_places
 
 
 @pytest.mark.parametrize("name,prof,num_configs,num_classes", [

@@ -136,6 +136,25 @@ def test_draw_at_total_falls_back_to_last_positive_leaf(mode):
     assert sim.total_rate() == pytest.approx(sim._analytic_rate())
 
 
+@pytest.mark.parametrize("make", [lambda: b3(service=(0.7, 1.3)), p428], ids=["b3", "428"])
+def test_edge_leaves_are_the_per_edge_rates(make):
+    # Leaf of edge (k, i): k_i times mu_i, the float numpy's product gives.
+    space, demand = make()
+    mu = demand.service
+    size = None
+    for mode in ("closed", "open"):
+        sim = Simulation(SimConfig(space=space, demand=demand, r=100, alpha=1.0, mode=mode))
+        size = sim._size
+        expect = [[] for _ in space.configs]
+        for e, (i, t) in enumerate(zip(space.edge_type, space.edge_target)):
+            expect[t].append((size + space.num_types + e, float(space.configs[t][i] * mu[i])))
+        assert list(map(list, sim._into)) == expect
+        assert all(type(coef) is float for leaves in sim._into for _, coef in leaves)
+    token = Simulation(SimConfig(space=space, demand=demand, r=100, alpha=1.0, mode="open",
+                                 discipline="greedy-dm"))
+    assert not hasattr(token, "_into")
+
+
 def test_departure_remainder_past_last_row_takes_it():
     # One server in state (2,) with h = 1: rows are the customer's departure
     # (mu 1) and the token's expiry (mu0 1).  u equal to the total leaves a

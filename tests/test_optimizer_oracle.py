@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_optimizer as oracle
+import oracle_phi
 from packing_sim.config_space import ResourceProfile, enumerate_configs
 from packing_sim.optimizer import (
     Demand,
@@ -49,6 +50,27 @@ INSTANCES = (
     + [("p48", uniform_demand(seed), a) for seed in (3, 5) for a in ALPHAS]
     + [("p428", Demand(np.ones(4), np.ones(4)), 1.0)]
 )
+
+
+def close(new, old, rel=1e-12):
+    return np.max(np.abs(np.asarray(new) - old), initial=0.0) <= rel * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("name", ["p48", "p428"])
+def test_phi_iteration_matches_frozen_solver(name, alpha):
+    # The iteration that forms the K columns of W^-1 [K, r] once and reads
+    # the duality gap last against the one before it: the same optimum.
+    space = SPACES[name]
+    for demand in (Demand(np.ones(4), np.ones(4)), uniform_demand(21), uniform_demand(22)):
+        got = outcome(solve_aggregate_optimum, space, demand, alpha)
+        ref = outcome(oracle_phi.solve_aggregate_optimum, space, demand, alpha)
+        if isinstance(ref, NonconvergenceError):
+            assert isinstance(got, NonconvergenceError) and str(got) == str(ref)
+            continue
+        (state, value), (ref_state, ref_value) = got, ref
+        assert close(value, ref_value)
+        assert close(state.x, ref_state.x)
 
 
 def outcome(solver, space, demand, alpha):

@@ -393,13 +393,19 @@ class TestTokenRuns:
 
     def test_complete_states_enumerated(self):
         sim = self.make_sim()
-        I = sim.space.num_types
-        # (1) holds 0..1 actuals, (2) holds 0..2
+        mu, mu0 = sim._mu[0], sim._mu0
+        # (1) holds 0..1 actuals, (2) holds 0..2, in that order; a record's
+        # departure rows give the held customers, its expiry rows the tokens.
         assert sim._cc_first[-1] == 5
+        states = []
         for c in range(sim._cc_first[-1]):
-            k = sim.space.configs[sim._cc_config[c]]
-            khat = sim._cc_held[c * I:(c + 1) * I]
-            assert all(h <= v for h, v in zip(khat, k))
+            _, k_idx, _, rows, _ = sim._record(c)
+            k = sim.space.configs[k_idx]
+            held = sum(coef / mu for coef, _, actual, _, _ in rows if actual)
+            free = sum(coef / mu0 for coef, _, actual, _, _ in rows if not actual)
+            assert 0 <= held <= k[0] and held + free == k[0]
+            states.append((k[0], held))
+        assert states == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
 
     def test_lone_token_expires_to_empty(self):
         sim = self.make_sim()

@@ -1,18 +1,24 @@
-"""The token engine's flat server-state table and per-state records against
-the tuple-keyed enumeration of (config, held config) pairs, rebuilt here on
-its own, plus the state cap and repeated engines on one space."""
+"""The token engine's per-state records, decoded from state indexes,
+against a tuple-keyed enumeration of (config, held config) pairs rebuilt
+here on its own, plus the state cap and repeated engines on one space."""
 
 import json
+import math
 from itertools import product
-from operator import attrgetter, sub
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 import oracle_engine
-from packing_sim.config_space import ConfigSpaceError, validate_explicit_configs
+from packing_sim.config_space import (
+    ConfigSpaceError,
+    enumerate_configs,
+    validate_explicit_configs,
+)
 from packing_sim.optimizer import Demand
 from packing_sim.simulator import SimConfig, Simulation, derive_seed, run
+from test_config_space_oracle import FIVE_TYPES, PROFILE_E
 from test_engine_oracle import b3, k12, p48_uniform, p428
 
 TOKEN_RATE = 1.7
@@ -24,47 +30,62 @@ def token_config(space, demand, **fields):
                      discipline="greedy-dm", token_rate=TOKEN_RATE, **fields)
 
 
-def reference_states(space):
-    """Every (config index, held config index or -1), held vectors in
-    lexicographic order within a config, and the index of each pair."""
-    states = []
-    for k_idx, k in enumerate(space.configs):
-        for held in product(*(range(v + 1) for v in k)):
-            states.append((k_idx, space.index[held] if any(held) else -1))
-    return states, {key: c for c, key in enumerate(states)}
+class Reference:
+    """The states (config index, held config index or -1): configs in index
+    order, the held vectors of a config in lexicographic order.  A config's
+    states are enumerated when first asked for."""
+
+    def __init__(self, space):
+        self.space = space
+        self.first = [0]
+        for k in space.configs:
+            self.first.append(self.first[-1] + math.prod(v + 1 for v in k))
+        self._local = {}
+
+    def held_of(self, k_idx):
+        """The held config indexes of k's states, in state order."""
+        held = self._local.get(k_idx)
+        if held is None:
+            space = self.space
+            held = self._local[k_idx] = [
+                space.index[h] if any(h) else -1
+                for h in product(*(range(v + 1) for v in space.configs[k_idx]))]
+        return held
+
+    def index(self, k_idx, khat_idx):
+        return self.first[k_idx] + self.held_of(k_idx).index(khat_idx)
+
+    def states(self, k_idx):
+        """(state, config index, held config index) of every state of k."""
+        return [(c, k_idx, khat_idx)
+                for c, khat_idx in enumerate(self.held_of(k_idx), self.first[k_idx])]
 
 
 def held_plus(space, khat_idx, i):
     return space.unit_index[i] if khat_idx < 0 else space.up_index[khat_idx][i]
 
 
-@pytest.mark.parametrize("make", [k12, b3, p48_uniform, p428],
-                         ids=["k12", "b3", "48", "428"])
-def test_state_table_matches_enumeration(make):
-    space, demand = make()
-    sim = Simulation(token_config(space, demand))
-    states, index = reference_states(space)
+def check_states(sim, ref, states):
+    """Every fact of the records of ``states`` against the enumeration."""
+    space = sim.space
     I = space.num_types
-    mu = [float(v) for v in demand.service]
+    mu = [float(v) for v in sim.demand.service]
     first, stride = sim._cc_first, sim._cc_stride
-    up, down = sim._cc_up, sim._cc_down
-    assert first[-1] == len(states) == len(sim.Xc)
+    assert first[-1] == ref.first[-1] == len(sim.Xc)
+    assert list(first) == ref.first
     for i in range(I):
         u = space.unit_index[i]
-        assert first[u] == index[(u, -1)]
-        assert first[u] + stride[u * I + i] == index[(u, u)]
-    for c, (k_idx, khat_idx) in enumerate(states):
+        assert first[u] == ref.index(u, -1)
+        assert first[u] + stride[u * I + i] == ref.index(u, u)
+    for c, k_idx, khat_idx in states:
         k = space.configs[k_idx]
         held = space.configs[khat_idx] if khat_idx >= 0 else (0,) * I
-        row = slice(c * I, (c + 1) * I)
-        assert sim._cc_config[c] == k_idx
-        assert tuple(sim._cc_held[row]) == held
-        assert tuple(sim._cc_free[row]) == tuple(map(sub, k, held))
         # Left to right from 0, the order of the built-in sum.
         rate = 0
         for h, m in zip(held, mu):
             rate += h * m
-        rec_rate, rec_k, reps, rows = sim._record(c)
+        rec = rec_rate, rec_k, reps, rows, up = sim._record(c)
+        assert sim._rec[c] is rec
         assert rec_rate == rate + (sum(k) - sum(held)) * TOKEN_RATE
         assert rec_k == k_idx
         # Per type an actual departure, then a token expiry; none at rate 0.
@@ -72,10 +93,10 @@ def test_state_table_matches_enumeration(make):
         for i in range(I):
             k_down = space.down_index[k_idx][i]
             if held[i]:
-                nxt = -1 if k_down < 0 else index[(k_down, space.down_index[khat_idx][i])]
+                nxt = -1 if k_down < 0 else ref.index(k_down, space.down_index[khat_idx][i])
                 expect_rows.append((held[i] * mu[i], i, True, space.edge_index(k, i), nxt))
             if k[i] > held[i]:
-                nxt = -1 if k_down < 0 else index[(k_down, khat_idx)]
+                nxt = -1 if k_down < 0 else ref.index(k_down, khat_idx)
                 expect_rows.append(((k[i] - held[i]) * TOKEN_RATE, i, False,
                                     space.edge_index(k, i), nxt))
                 expect_reps.append((i, k[i] - held[i]))
@@ -83,23 +104,49 @@ def test_state_table_matches_enumeration(make):
         assert len(reps) == len(expect_reps)
         for (tree, f), (i, free) in zip(reps, expect_reps):
             assert tree is sim._rep_trees[i] and f == free
+        assert len(up) == I
         for i in range(I):
             k_up = space.up_index[k_idx][i]
-            k_down = space.down_index[k_idx][i]
-            # The same held vector one type-i slot up or down.
-            assert up[c * I + i] == (-1 if k_up is None else index[(k_up, khat_idx)])
-            fits = k_down is not None and k_down >= 0 and held[i] < k[i]
-            assert down[c * I + i] == (index[(k_down, khat_idx)] if fits else -1)
-            # One more or one fewer actual customer, by the strides.
+            # The same held vector one type-i slot up.
+            assert up[i] == (-1 if k_up is None else ref.index(k_up, khat_idx))
+            # One more actual customer, by the strides.
             one_more = held_plus(space, khat_idx, i)
             if held[i] < k[i]:
-                assert c + stride[k_idx * I + i] == index[(k_idx, one_more)]
+                assert c + stride[k_idx * I + i] == ref.index(k_idx, one_more)
             if k_up is not None:
-                assert up[c * I + i] + stride[k_up * I + i] == index[(k_up, one_more)]
-            if held[i]:
-                fewer = c - stride[k_idx * I + i]
-                expect = -1 if k_down < 0 else index[(k_down, space.down_index[khat_idx][i])]
-                assert down[fewer * I + i] == expect
+                assert up[i] + stride[k_up * I + i] == ref.index(k_up, one_more)
+
+
+@pytest.mark.parametrize("make", [k12, b3, p48_uniform, p428],
+                         ids=["k12", "b3", "48", "428"])
+def test_state_table_matches_enumeration(make):
+    space, demand = make()
+    sim = Simulation(token_config(space, demand))
+    ref = Reference(space)
+    check_states(sim, ref, [s for k_idx in range(space.num_configs)
+                            for s in ref.states(k_idx)])
+    assert None not in sim._rec
+
+
+@pytest.mark.parametrize("profile", [PROFILE_E, FIVE_TYPES], ids=["profile-E", "five-types"])
+def test_large_space_records_on_a_sample(profile):
+    # Every state of the 20 configurations with the most states, plus
+    # every 101st state.
+    space = enumerate_configs(profile)
+    I = space.num_types
+    demand = Demand(np.ones(I), np.linspace(0.7, 1.9, I))
+    sim = Simulation(token_config(space, demand))
+    ref = Reference(space)
+    sizes = np.diff(ref.first)
+    largest = sorted(np.argsort(-sizes, kind="stable")[:20].tolist())
+    sample = {}
+    for c in range(0, ref.first[-1], 101):
+        k_idx = int(np.searchsorted(ref.first, c, side="right")) - 1
+        sample[c] = k_idx, ref.held_of(k_idx)[c - ref.first[k_idx]]
+    for k_idx in largest:
+        sample.update((c, (k, khat)) for c, k, khat in ref.states(k_idx))
+    assert len(sample) > 3000
+    check_states(sim, ref, sorted((c, k, khat) for c, (k, khat) in sample.items()))
 
 
 def test_token_cells_share_one_space():
