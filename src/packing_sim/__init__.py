@@ -37,7 +37,6 @@ from .optimizer import (
     simple_improving_allocations,
     solve_aggregate_optimum,
     solve_optimum,
-    weight_diff,
 )
 from .fluid import (
     FluidTrajectory,
@@ -115,6 +114,5 @@ __all__ = [
     "space_to_dict",
     "token_odes",
     "validate_explicit_configs",
-    "weight_diff",
     "write_snapshots_csv",
 ]

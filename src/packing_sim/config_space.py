@@ -402,12 +402,11 @@ def enumerate_configs(profile: ResourceProfile, max_configs: int = 1_000_000) ->
     """Enumerate every nonzero configuration that fits the profile.
 
     Type by type over arrays of prefixes with running capacity; raises if
-    a unit configuration does not fit or the space would exceed
-    ``max_configs``.
+    a unit configuration does not fit (``ResourceProfile.fits``) or the
+    space would exceed ``max_configs``.
     """
-    for i, row in enumerate(profile.requirement):
-        # ResourceProfile.fits of the unit configuration: its usage is row.
-        if not all(v <= c * (1.0 + _FEAS_RTOL) for v, c in zip(row, profile.capacity)):
+    for i in range(profile.num_types):
+        if not profile.fits([int(j == i) for j in range(profile.num_types)]):
             raise ConfigSpaceError(
                 f"no nonzero feasible configurations for type {i}: one customer does not fit"
             )
@@ -440,22 +439,22 @@ def enumerate_configs(profile: ResourceProfile, max_configs: int = 1_000_000) ->
 
 def validate_explicit_configs(
     configs: Iterable[Sequence[int]],
-    num_types: Optional[int] = None,
     profile: Optional[ResourceProfile] = None,
     max_configs: int = 1_000_000,
 ) -> ConfigSpace:
     """Build a space from an explicit configuration set.
 
-    The set must be coordinate-monotone and contain every unit vector;
-    the zero configuration may be listed but is never stored.  When a
-    profile is supplied, every configuration must fit it and aggregate
-    classes are derived from resource usage.
+    The number of types is the length of the first configuration, and
+    every other one must have that length.  The set must be
+    coordinate-monotone and contain every unit vector; the zero
+    configuration may be listed but is never stored.  When a profile is
+    supplied, it must have that many types, every configuration must fit
+    it, and aggregate classes are derived from resource usage.
     """
     raw = [tuple(c) for c in configs]
     if not raw:
         raise ConfigSpaceError("empty configuration set")
-    if num_types is None:
-        num_types = len(raw[0])
+    num_types = len(raw[0])
     if profile is not None and profile.num_types != num_types:
         raise ConfigSpaceError(
             f"profile has {profile.num_types} types, configurations have {num_types}"
@@ -488,11 +487,12 @@ def _require_aggregates(space: ConfigSpace) -> AggregateInfo:
     return space.aggregates
 
 
-def space_from_dict(d: dict, max_configs: int = 1_000_000) -> ConfigSpace:
+def space_from_dict(d: dict) -> ConfigSpace:
     """Build a space from a config dict with 'profile' and/or 'configs' keys.
 
     Accepts either the nested form {"profile": {"B":..,"b":..}} or a flat
-    {"B":..,"b":..}; explicit sets use {"configs": [[..],..]}.
+    {"B":..,"b":..}; explicit sets use {"configs": [[..],..]}.  The
+    builders' default cap of 1,000,000 configurations applies.
     """
     if not isinstance(d, dict):
         raise ConfigSpaceError(f"space must be an object, got {d!r}")
@@ -505,10 +505,10 @@ def space_from_dict(d: dict, max_configs: int = 1_000_000) -> ConfigSpace:
         configs = d["configs"]
         if not isinstance(configs, list) or not all(isinstance(c, list) for c in configs):
             raise ConfigSpaceError(f"'configs' must be a list of integer lists, got {configs!r}")
-        return validate_explicit_configs(configs, profile=profile, max_configs=max_configs)
+        return validate_explicit_configs(configs, profile=profile)
     if profile is None:
         raise ConfigSpaceError("config dict needs a 'profile' or a 'configs' entry")
-    return enumerate_configs(profile, max_configs=max_configs)
+    return enumerate_configs(profile)
 
 
 def space_summary(space: ConfigSpace) -> dict:

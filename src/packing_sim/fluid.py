@@ -127,9 +127,12 @@ def integrate(
     bound = 2.0 * float(np.max(rho))
     flows = _greedy_flows(space, demand, alpha)
     _, target, base = space.edge_arrays
-    eye = np.eye(n + 1, n)  # row n, read by the empty-server bases, is zero
     # C order: a strided M falls off numpy's fast matrix-vector path.
-    M = np.ascontiguousarray((eye[target] - eye[base]).T)
+    M = np.zeros((n, len(target)))
+    edges = np.arange(len(target))
+    M[target, edges] = 1.0
+    inner = base >= 0  # base -1, the empty server, has no row
+    M[base[inner], edges[inner]] = -1.0
 
     states = np.empty((n_steps + 1, n))
     states[0] = x

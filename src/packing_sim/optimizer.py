@@ -56,13 +56,12 @@ class NonconvergenceError(RuntimeError):
 class Demand:
     """Per-type arrival and service rates, normalized to unit total load.
 
-    The constructor rescales arrival rates so that sum_i lambda_i/mu_i = 1
-    and records the applied factor in ``scale``.
+    The constructor rescales arrival rates so that sum_i lambda_i/mu_i = 1;
+    the factor is not kept, since only the normalized rates enter the model.
     """
 
     arrival: np.ndarray
     service: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         lam = np.asarray(self.arrival, dtype=float).copy()
@@ -71,13 +70,11 @@ class Demand:
             raise ValueError("arrival and service must be 1-d arrays of equal length")
         if not np.all(lam > 0) or not np.all(mu > 0):
             raise ValueError("arrival and service rates must be positive")
-        total = float(np.sum(lam / mu))
-        lam /= total
+        lam /= np.sum(lam / mu)
         lam.flags.writeable = False
         mu.flags.writeable = False
         object.__setattr__(self, "arrival", lam)
         object.__setattr__(self, "service", mu)
-        object.__setattr__(self, "scale", total)
 
     @property
     def num_types(self) -> int:
@@ -289,7 +286,7 @@ def solve_optimum(
     if float(np.max(np.abs(A @ x - rho))) > 1e-12:
         x = project_to_polytope(A, rho, x)
     state = StatePoint(x, alpha)
-    cert = kkt_certificate(space, state, demand)
+    cert = kkt_certificate(space, state)
     score = max(cert.residual, float(np.max(np.abs(A @ x - rho))))
     if score > _PLAIN_TOL:
         raise NonconvergenceError(
@@ -312,16 +309,12 @@ def _plain_primal(A, rho, alpha):
     return np.maximum(A.T @ eta, 0.0) ** (1.0 / alpha)
 
 
-def kkt_certificate(
-    space: ConfigSpace,
-    state: StatePoint,
-    demand: Demand,
-) -> KktCertificate:
+def kkt_certificate(space: ConfigSpace, state: StatePoint) -> KktCertificate:
     """Fit multipliers at a state of F and report the optimality residual.
 
     eta is fitted by least squares on the support, and the residual is the
     worst violation of x_k^alpha = max(k . eta, 0).  Feasibility is not
-    part of it (``demand`` is not read); ``feasibility_gap`` measures that.
+    part of it; ``feasibility_gap`` measures that.
     """
     x = np.maximum(state.x, 0.0)
     K = space.constraint_matrix.T
@@ -455,11 +448,6 @@ def _weight_diffs(xp: np.ndarray, alpha: float, target, base) -> np.ndarray:
 def _space_weight_diffs(space: ConfigSpace, state: StatePoint) -> np.ndarray:
     _, target, base = space.edge_arrays
     return _weight_diffs(np.append(np.maximum(state.x, 0.0), 0.0), state.alpha, target, base)
-
-
-def weight_diff(space: ConfigSpace, state: StatePoint, edge: int) -> float:
-    """Weight differential along an edge: x_target^alpha - x_base^alpha."""
-    return float(_space_weight_diffs(space, state)[edge])
 
 
 def _edge_mass_coefficients(space: ConfigSpace, demand: Demand) -> np.ndarray:

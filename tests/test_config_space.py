@@ -94,7 +94,7 @@ class TestValidateExplicit:
 
     def test_rejects_missing_unit(self):
         with pytest.raises(ConfigSpaceError, match="type 1"):
-            validate_explicit_configs([(1, 0), (2, 0)], num_types=2)
+            validate_explicit_configs([(1, 0), (2, 0)])
 
     def test_zero_config_tolerated_but_not_stored(self):
         space = validate_explicit_configs([(0,), (1,), (2,)])
