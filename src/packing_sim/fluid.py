@@ -38,7 +38,11 @@ DEFAULT_TIE_TOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator leaves the plausible state region."""
+    """Kept for callers that catch it; ``integrate`` no longer raises it.
+
+    Every step ends at x >= 0 with A x = rho to 1e-6, and each
+    configuration holds some type, so no coordinate can exceed
+    max rho + 1e-6."""
 
 
 @dataclass(eq=False)
@@ -124,7 +128,6 @@ def integrate(
         raise ValueError("x0 is not on the feasible polytope")
 
     n_steps = int(round(horizon / dt))
-    bound = 2.0 * float(np.max(rho))
     flows = _greedy_flows(space, demand, alpha)
     _, target, base = space.edge_arrays
     # C order: a strided M falls off numpy's fast matrix-vector path.
@@ -144,11 +147,6 @@ def integrate(
         if not err.max() < 1e-6:  # NaN fails too
             drifted = np.flatnonzero(~(err < 1e-6))
             raise InvariantError(f"type {drifted[0]}: per-type conservation drifted")
-        hi = x.max()
-        if hi > bound:
-            raise IntegrationError(
-                f"state coordinate {hi:.3g} exceeds bound {bound:.3g}; reduce dt"
-            )
         states[s] = x
 
     p = 1.0 + alpha

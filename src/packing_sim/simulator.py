@@ -170,9 +170,9 @@ class SystemState:
     placed a type of more than ``_SCAN_EDGES`` edges on this state, the two
     arrays its edge scores add up: edge (b, t) scores ``up[t] + down[b]``,
     with ``down[b]`` = +inf where b holds no server and a 0.0 sentinel at
-    index n for the empty base -1.  Once a rule has weights, add t to
-    ``stale`` after every change of ``counts[t]``; the next placement
-    recomputes the weights of t.
+    index n for the empty base -1.  Counts change only through an
+    engine's ``Simulation._bump``, which recomputes in place the weights of
+    the configurations it moves.
     """
 
     space: ConfigSpace
@@ -180,7 +180,6 @@ class SystemState:
     counts: list
     class_counts: Optional[list] = None
     weights: dict = field(default_factory=dict, init=False, repr=False)
-    stale: set = field(default_factory=set, init=False, repr=False)
 
     @classmethod
     def from_counts(cls, space: ConfigSpace, alpha: float, counts) -> "SystemState":
@@ -197,11 +196,7 @@ class SystemState:
 
     def rule_weights(self, rule: str) -> tuple:
         """(up, down) of a plain greedy rule at the current counts; built
-        on its first call."""
-        if self.stale:
-            for r, (up, down) in self.weights.items():
-                _RULE_WEIGHTS[r](self.counts, self.alpha, self.stale, up, down)
-            self.stale.clear()
+        on its first call, then kept current by the engine's ``_bump``."""
         w = self.weights.get(rule)
         if w is None:
             n = len(self.counts)
@@ -445,17 +440,19 @@ class Simulation:
     either one leaf per edge e with weight k_i mu_i X_k (closed and open
     mode), or one leaf per complete server state c with weight R_c Xc[c],
     R_c being the summed rate of the departure and expiry rows of c
-    (token mode).  ``_bump`` is the only writer of X and the class totals
-    S, one call per server move; counts push their leaves on every change
-    (``_bump``, ``_cc_add``), so the total rate is the root and one draw
-    walks down the tree: an event costs O(I log n) for I types and n
-    leaves.  Token replacements draw the replaced token from one such tree
-    per type, over the complete states weighted by their free type-i
-    slots.  In token mode the engine builds a record per server state the
-    first time it touches the state, decoded from the state's index
-    (``_record``: R_c, the replacement trees with free slots, the departure
-    and expiry rows, and the states one type up), so an event reads fixed
-    per-state values instead of recomputing them.  Each step
+    (token mode).  ``_bump`` is the only writer of X, the class totals S
+    and the placement weights, one call per server move.  Every count
+    change pushes its leaves before the next draw: ``_bump`` and ``_cc_add``
+    at once, except that a closed event pushes its edge leaves after the
+    re-placement, and only when the customer moved.  So the total rate is
+    the root and one draw walks down the tree: an event costs O(I log n)
+    for I types and n leaves.  Token replacements draw the replaced token
+    from one such tree per type, over the complete states weighted by their
+    free type-i slots.  In token mode the engine builds a record per server
+    state the first time it touches the state, decoded from the state's
+    index (``_record``: R_c, the replacement trees with free slots, the
+    departure and expiry rows, and the states one type up), so an event
+    reads fixed per-state values instead of recomputing them.  Each step
     checks the root against the O(I) formula of ``_analytic_rate``.
     """
 
@@ -484,10 +481,11 @@ class Simulation:
             space=space, alpha=config.alpha, counts=self.X, class_counts=self.S
         )
         self._weights = self.state.weights
-        self._stale = self.state.stale
         # Under a closed plain greedy rule a re-placement is a function of X
         # and the departed edge alone.  ``_stay`` holds the departed edges
-        # whose re-placement went back to them at the current X.
+        # whose re-placement went back to them at the current X.  Under such
+        # a rule only ``_apply`` moves X after construction: a re-placement
+        # that moves clears the memo.
         self._memo = self._closed and not (
             config.alt_placement is not None or config.discipline in _CLASS_DISCIPLINES)
         self._stay = set()
@@ -563,12 +561,9 @@ class Simulation:
 
     def _bump(self, k_from: int, k_to: int, n: int = 1, push: bool = True):
         """Move n servers from configuration k_from to k_to (-1: none), with
-        the class totals, the staleness of the placement weights, the memo
-        of re-placements and (``push``) the edge leaves.  An edge (base b,
-        target t) gains a customer by ``_bump(b, t)`` and loses one by
-        ``_bump(t, b)``.  The memo is replaced, not cleared: a closed
-        re-placement that goes back to its edge restores X and the memo it
-        held before."""
+        the class totals, the placement weights of both configurations and
+        (``push``) the edge leaves.  An edge (base b, target t) gains a
+        customer by ``_bump(b, t)`` and loses one by ``_bump(t, b)``."""
         X = self.X
         S = self.S
         if k_from >= 0:
@@ -580,10 +575,10 @@ class Simulation:
             if S is not None:
                 S[self._class_of[k_to]] += n
         if self._weights:
-            self._stale.update((k_from, k_to))
-            self._stale.discard(-1)
-        if self._stay:
-            self._stay = set()
+            # At most one side is -1, the empty server, which has no weights.
+            moved = (k_from, k_to) if k_from >= 0 and k_to >= 0 else (max(k_from, k_to),)
+            for rule, (up, down) in self._weights.items():
+                _RULE_WEIGHTS[rule](X, self.state.alpha, moved, up, down)
         if push:
             for k in (k_from, k_to):
                 if k >= 0:
@@ -793,8 +788,7 @@ class Simulation:
             self._cc_move(c, nxt)
         else:
             e = leaf - I
-            stay = self._stay
-            if e in stay:
+            if e in self._stay:
                 # The last re-placement from e went back to e at this same X.
                 self.departures[e] += 1
                 self.arrivals[e] += 1
@@ -818,11 +812,11 @@ class Simulation:
                       space.edge_target[e2], space.edge_base[e2]):
                 if t >= 0:
                     self._push(t)
+            self._stay.clear()
         elif self._memo:
             # Most re-placements go back to e: X, every leaf and so every
             # memoised re-placement are as they were before the event.
-            stay.add(e)
-            self._stay = stay
+            self._stay.add(e)
         self.arrivals[e2] += 1
         if self._tokens:
             self.tok_arr[e2] += 1

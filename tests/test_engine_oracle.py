@@ -3,6 +3,7 @@ plus engine edge cases: draw overshoot and invariants under ``python -O``."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,14 @@ from packing_sim.config_space import (
     validate_explicit_configs,
 )
 from packing_sim.optimizer import Demand
-from packing_sim.simulator import AltPlacement, SimConfig, Simulation, run
+from packing_sim.simulator import (
+    AltPlacement,
+    SimConfig,
+    Simulation,
+    SystemState,
+    place_greedy_ac,
+    run,
+)
 
 PROFILE_48 = ResourceProfile((1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05)))
 PROFILE_428 = ResourceProfile(
@@ -44,6 +52,14 @@ def p48_uniform():
 
 def p428():
     return enumerate_configs(PROFILE_428), Demand(np.ones(4), np.ones(4))
+
+
+def partial_admission():
+    # Class {(0,1), (2,0)} admits type 0 only through (2,0): (1,1) is not
+    # in the space.
+    space = validate_explicit_configs([(1, 0), (2, 0), (3, 0), (0, 1)],
+                                      profile=ResourceProfile((4.0,), ((1.0,), (2.0,))))
+    return space, Demand(np.array([1.0, 0.5]), np.ones(2))
 
 
 CASES = {
@@ -75,6 +91,8 @@ CASES = {
                                  sample_interval=0.1)),
     "p428-token": (p428, dict(r=30, seed=9, horizon=3.0, burn_in=1.0,
                               sample_interval=0.1, mode="open", discipline="greedy-dm")),
+    "partial-closed-d-ac": (partial_admission, dict(r=50, seed=3, horizon=20.0, burn_in=2.0,
+                                                    discipline="greedy-d-ac")),
 }
 
 
@@ -107,6 +125,35 @@ def test_token_engines_with_other_rates_share_one_space():
              seed=15)
     for rates in (a, b, a):
         assert_matches_oracle(SimConfig(space=space, **rates, **fields))
+
+
+def test_class_rule_skips_a_class_that_cannot_admit_the_type():
+    space, _ = partial_admission()
+    agg = space.aggregates
+    q = agg.class_of[space.config_index((0, 1))]
+    assert agg.class_of[space.config_index((2, 0))] == q
+    counts = [0] * space.num_configs
+    counts[space.config_index((0, 1))] = 2
+    counts[space.config_index((1, 0))] = 1
+    state = SystemState.from_counts(space, 1.0, counts)
+    # As a candidate, class q would score S[class of (3,0)] - S[q] = 0 - 2
+    # and win; with (2,0) empty no member of q can take type 0.
+    for seed in range(5):
+        got = place_greedy_ac(state, 0, random.Random(seed))
+        assert got[0] != q
+        assert got == oracle_engine.place_greedy_ac(state, 0, random.Random(seed))
+
+
+def test_empty_closed_system_samples_to_the_horizon():
+    # At r = 0.1 every closed population rounds to 0: no event can occur.
+    space, demand = k12()
+    cfg = SimConfig(space=space, demand=demand, r=0.1, alpha=1.0, horizon=3.0, burn_in=1.0)
+    assert not Simulation(cfg).step()
+    res = run(cfg)
+    assert res.summary["n_events"] == 0
+    assert res.summary["final_time"] == 3.0
+    assert [s.t for s in res.snapshots] == [1.5, 2.0, 2.5, 3.0]
+    assert all(s.x == {} for s in res.snapshots)
 
 
 def _engines():

@@ -148,6 +148,22 @@ class TestIntegrate:
             integrate(space, np.array([1.0]), demand, 1.0,
                       horizon=1.0, dt=1e-3)
 
+    @pytest.mark.parametrize("dt", [0.5, 2.0, 10.0])
+    def test_large_steps_stay_in_bounds(self, dt):
+        # x >= 0 and A x = rho bound every coordinate by max rho (to the
+        # conservation tolerance), however far one step overshoots.
+        space = enumerate_configs(ResourceProfile(
+            (1.0, 1.0), ((0.3, 0.1), (0.1, 0.3), (0.2, 0.2), (0.45, 0.05))))
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
+            x0 = np.zeros(space.num_configs)
+            x0[list(space.unit_index)] = demand.rho
+            for alpha in (0.25, 1.0, 4.0):
+                states = integrate(space, x0, demand, alpha, horizon=20 * dt, dt=dt).states
+                assert states.min() >= 0.0
+                assert states.max() <= np.max(demand.rho) + 1e-6
+
     def test_trajectory_shape_and_times(self, k12):
         space, demand = k12
         traj = integrate(space, np.array([1.0, 0.0]), demand, 1.0,

@@ -75,27 +75,27 @@ ENGINES = {
 }
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from(("48", "428")), st.sampled_from(ALPHAS), st.sampled_from(sorted(ENGINES)),
-       st.integers(0, 2**31 - 1), st.integers(1, 300))
-def test_engine_weights_follow_counts(name, alpha, engine, seed, steps):
-    space, demand = instance(name)
-    sim = Simulation(SimConfig(space=space, demand=demand, r=30, alpha=alpha, seed=seed,
-                               **ENGINES[engine]))
-    rule = "i" if engine == "closed-i" else "d"
-    sim._place(0)  # the engine's own rule builds its weights
-    for _ in range(steps):
-        if not sim.step():
-            break
-    state = sim.state
-    assert list(state.weights) == [rule]
-    up, down = expected_weights(sim.X, alpha, rule)
-    # Between placements only the configurations in ``stale`` may lag.
-    for t in range(space.num_configs + 1):
-        if t not in state.stale:
-            assert (state.weights[rule][0][t], state.weights[rule][1][t]) == (up[t], down[t])
-    w_up, w_down = state.rule_weights(rule)
-    assert not state.stale
-    assert w_up.tolist() == up
-    assert w_down.tolist() == down
-    assert_matches_scan(state)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from(ALPHAS), st.integers(0, 2**31 - 1), st.integers(1, 300))
+def test_engine_weights_follow_counts(alpha, seed, steps):
+    # Every engine on both spaces: ``_bump`` keeps every entry of the
+    # rule's arrays current after every event, with no lag.
+    for name in ("48", "428"):
+        space, demand = instance(name)
+        for engine, fields in ENGINES.items():
+            sim = Simulation(SimConfig(space=space, demand=demand, r=30, alpha=alpha,
+                                       seed=seed, **fields))
+            rule = "i" if engine == "closed-i" else "d"
+            sim._place(0)  # the engine's own rule builds its weights
+            state = sim.state
+            w_up, w_down = state.weights[rule]
+            for _ in range(steps):
+                if not sim.step():
+                    break
+                up, down = expected_weights(sim.X, alpha, rule)
+                assert w_up.tolist() == up, engine
+                assert w_down.tolist() == down, engine
+            assert list(state.weights) == [rule]
+            up, down = state.rule_weights(rule)
+            assert up is w_up and down is w_down
+            assert_matches_scan(state)

@@ -489,7 +489,7 @@ class TestTokenRuns:
 
 
 class TestCountWriter:
-    """``_bump`` alone writes X, the class totals and the stale set."""
+    """``_bump`` alone writes X, the class totals and the placement weights."""
 
     def test_token_replacement_keeps_counts_and_weights(self):
         space = enumerate_configs(ResourceProfile(
@@ -498,14 +498,15 @@ class TestCountWriter:
                                    mode="open", discipline="greedy-dm", seed=3))
         while not (sim.state.weights and any(sim.Ytilde)):
             assert sim.step()
-        sim.state.rule_weights("d")  # brings every weight up to date
+        up, down = sim.state.weights["d"]
+        before = up.tolist(), down.tolist()
         i = next(j for j, v in enumerate(sim.Ytilde) if v)
         x_before = list(sim.X)
         sim._apply(sum(sim._arr_rate[:i]) + 0.5 * sim._arr_rate[i])  # type-i arrival
         assert sum(sim.rep_arr) == 1
         # The server changes state, not configuration.
         assert sim.X == x_before
-        assert not sim.state.stale
+        assert (up.tolist(), down.tolist()) == before
 
     @pytest.mark.parametrize("discipline,mode", [("greedy-d", "closed"),
                                                  ("greedy-dm", "open")])
