@@ -23,7 +23,6 @@ from .config_space import (
     validate_explicit_configs,
 )
 from .optimizer import (
-    Allocation,
     Demand,
     KktCertificate,
     NonconvergenceError,
@@ -40,7 +39,6 @@ from .optimizer import (
 )
 from .fluid import (
     FluidTrajectory,
-    IntegrationError,
     greedy_rate_allocation,
     integrate,
     token_odes,
@@ -71,14 +69,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateInfo",
-    "Allocation",
     "AltPlacement",
     "ConfigSpace",
     "ConfigSpaceError",
     "Demand",
     "Experiment",
     "FluidTrajectory",
-    "IntegrationError",
     "InvariantError",
     "KktCertificate",
     "NonconvergenceError",

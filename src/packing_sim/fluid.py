@@ -25,7 +25,6 @@ import numpy as np
 
 from .config_space import ConfigSpace, InvariantError
 from .optimizer import (
-    Allocation,
     Demand,
     StatePoint,
     _edge_mass_coefficients,
@@ -35,14 +34,6 @@ from .optimizer import (
 
 DEFAULT_FEAS_EPS = 1e-6
 DEFAULT_TIE_TOL = 1e-10
-
-
-class IntegrationError(RuntimeError):
-    """Kept for callers that catch it; ``integrate`` no longer raises it.
-
-    Every step ends at x >= 0 with A x = rho to 1e-6, and each
-    configuration holds some type, so no coordinate can exceed
-    max rho + 1e-6."""
 
 
 @dataclass(eq=False)
@@ -92,11 +83,12 @@ def _greedy_flows(space: ConfigSpace, demand: Demand, alpha: float):
     return flows
 
 
-def greedy_rate_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> Allocation:
-    """Placement rates induced by greedy re-placement at the given state:
-    each edge's own departure mass plus the net re-placement flow."""
+def greedy_rate_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> np.ndarray:
+    """Edge-ordered placement rates induced by greedy re-placement at the
+    given state: each edge's own departure mass plus the net re-placement
+    flow."""
     mass, flow = _greedy_flows(space, demand, state.alpha)(state.x)
-    return Allocation(gamma=mass + flow)
+    return mass + flow
 
 
 def integrate(

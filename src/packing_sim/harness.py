@@ -20,6 +20,7 @@ import numpy as np
 from .config_space import space_summary, sparse_state
 from .optimizer import NonconvergenceError, solve_aggregate_optimum, solve_optimum
 from .simulator import (
+    _CLASS_DISCIPLINES,
     SimConfig,
     derive_seed,
     run as run_simulation,
@@ -88,7 +89,7 @@ class Experiment:
             raise ValueError("token_fraction applies to token disciplines only")
 
     def _default_metrics(self) -> list:
-        if self.base.discipline in ("greedy-d-ac", "greedy-dm-ac"):
+        if self.base.discipline in _CLASS_DISCIPLINES:
             m = ["aggregate_objective_gap"]
         else:
             m = ["l2_to_optimum"]

@@ -98,27 +98,12 @@ class StatePoint:
             raise ValueError("alpha must be positive")
 
 
-@dataclass(eq=False)
-class Allocation:
-    """Placement rates per edge, aligned with ``ConfigSpace`` edge order."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class KktCertificate:
     """Multipliers eta and the worst-case violation of the optimality law."""
 
     eta: np.ndarray
     residual: float
-
-
-def constraint_matrix(space: ConfigSpace) -> np.ndarray:
-    """The space's read-only conservation matrix A, A[i, t] = (config t)_i."""
-    return space.constraint_matrix
 
 
 def feasibility_gap(space: ConfigSpace, state: StatePoint, demand: Demand) -> float:
@@ -456,24 +441,25 @@ def _edge_mass_coefficients(space: ConfigSpace, demand: Demand) -> np.ndarray:
     return space.constraint_matrix[i, target] * demand.service[i]
 
 
-def neutral_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> Allocation:
-    """Allocation that routes every edge's departure mass back to itself.
+def neutral_allocation(space: ConfigSpace, state: StatePoint, demand: Demand) -> np.ndarray:
+    """Edge-ordered placement rates that route every edge's departure mass
+    back to itself.
 
-    Its drift is identically zero.  Raises when the state is farther than
+    Their drift is identically zero.  Raises when the state is farther than
     1e-6 from the feasible polytope.
     """
     gap = feasibility_gap(space, state, demand)
     if gap > _NEUTRAL_FEAS_TOL:
         raise ValueError(f"state is off the feasible polytope by {gap:.3e}")
     coef = _edge_mass_coefficients(space, demand)
-    gamma = coef * np.maximum(state.x, 0.0)[space.edge_arrays[1]]
-    return Allocation(gamma=gamma)
+    return coef * np.maximum(state.x, 0.0)[space.edge_arrays[1]]
 
 
-def drift(space: ConfigSpace, alloc: Allocation, state: StatePoint, demand: Demand) -> float:
-    """D(gamma, x): rate of change of F under the given placement rates."""
+def drift(space: ConfigSpace, gamma, state: StatePoint, demand: Demand) -> float:
+    """D(gamma, x): rate of change of F under the placement rates ``gamma``,
+    an edge-ordered array-like."""
     neutral = neutral_allocation(space, state, demand)
-    return float(_space_weight_diffs(space, state) @ (alloc.gamma - neutral.gamma))
+    return float(_space_weight_diffs(space, state) @ (np.asarray(gamma, dtype=float) - neutral))
 
 
 def _swap_terms(space: ConfigSpace, state: StatePoint, demand: Demand) -> tuple:
@@ -481,7 +467,7 @@ def _swap_terms(space: ConfigSpace, state: StatePoint, demand: Demand) -> tuple:
     (target mass present) and available recipients of single swaps."""
     _, target, base = space.edge_arrays
     x = np.append(state.x, np.inf)  # base -1 (the unit edge) is always available
-    return (neutral_allocation(space, state, demand).gamma,
+    return (neutral_allocation(space, state, demand),
             _space_weight_diffs(space, state),
             x[target] > _DRIFT_ZERO_TOL,
             x[base] > _DRIFT_ZERO_TOL)
@@ -489,14 +475,14 @@ def _swap_terms(space: ConfigSpace, state: StatePoint, demand: Demand) -> tuple:
 
 def simple_improving_allocations(
     space: ConfigSpace, state: StatePoint, demand: Demand
-) -> list[tuple[Allocation, tuple[int, int]]]:
+) -> list[tuple[np.ndarray, tuple[int, int]]]:
     """All single-swap reallocations with strictly smaller weight differential.
 
     A donor edge with mass present moves its entire departure mass onto a
     same-type recipient edge that is available (unit target, or positive
     mass below it) and has strictly smaller weight differential.  Returns
-    (allocation, (donor_edge, recipient_edge)) pairs; empty exactly at the
-    optimum.
+    (gamma, (donor_edge, recipient_edge)) pairs, gamma the edge-ordered
+    placement rates; empty exactly at the optimum.
     """
     neutral, delta, donor, available = _swap_terms(space, state, demand)
     out = []
@@ -509,7 +495,7 @@ def simple_improving_allocations(
                     gamma = neutral.copy()
                     gamma[e2] += gamma[e1]
                     gamma[e1] = 0.0
-                    out.append((Allocation(gamma=gamma), (e1, e2)))
+                    out.append((gamma, (e1, e2)))
     return out
 
 

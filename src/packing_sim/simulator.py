@@ -38,6 +38,7 @@ from .config_space import (
     ConfigSpace,
     ConfigSpaceError,
     InvariantError,
+    _require_aggregates,
     sparse_state,
 )
 from .optimizer import Demand, StatePoint, aggregate_objective, objective
@@ -290,9 +291,7 @@ def place_greedy_ac(state: SystemState, i: int, rng) -> tuple[int, int]:
     empty server, and always qualifies through the unit configuration.
     """
     space = state.space
-    agg = space.aggregates
-    if agg is None:
-        raise ConfigSpaceError("class-level placement needs aggregate classes")
+    agg = _require_aggregates(space)
     S = state.class_counts
     X = state.counts
     a = state.alpha

@@ -12,20 +12,31 @@ layer; it is the reference.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from oracle_optimizer import constraint_matrix
 from packing_sim.config_space import InvariantError
-from packing_sim.fluid import FluidTrajectory, IntegrationError
-from packing_sim.optimizer import (
-    Allocation,
-    StatePoint,
-    constraint_matrix,
-    objective,
-    project_to_polytope,
-)
+from packing_sim.fluid import FluidTrajectory
+from packing_sim.optimizer import StatePoint, objective, project_to_polytope
 
 DEFAULT_FEAS_EPS = 1e-6
 DEFAULT_TIE_TOL = 1e-10
+
+
+class IntegrationError(RuntimeError):
+    """Raised by the frozen ``integrate`` when a coordinate leaves its bound."""
+
+
+@dataclass(eq=False)
+class Allocation:
+    """Placement rates per edge, aligned with ``ConfigSpace`` edge order."""
+
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        self.gamma = np.asarray(self.gamma, dtype=float)
 
 
 def _edge_mass_coefficients(space, demand):

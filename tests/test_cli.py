@@ -168,6 +168,13 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg]) == 0
         assert main(["experiment", "--config", cfg, "--check"]) == 2
 
+    def test_check_flag_fails_real_bad_sweep(self, tmp_path, capsys):
+        # Open greedy-d is closer to the optimum at r=2000 than at r=20.
+        cfg = write_config(tmp_path, mode="open", r_grid=[2000, 20], horizon=12.0,
+                           burn_in=2.0, seed=3)
+        assert main(["experiment", "--config", cfg, "--check"]) == 2
+        assert "verdict l2_to_optimum: decreasing=False" in capsys.readouterr().out
+
     def test_check_flag_fails_partial_report(self, tmp_path, monkeypatch):
         import packing_sim.cli as cli_mod
 

@@ -30,7 +30,7 @@ class TestRateAllocation:
     def test_routes_everything_to_lightest_target(self, k12):
         space, demand = k12
         st = StatePoint(np.array([0.6, 0.2]), 1.0)
-        gamma = greedy_rate_allocation(space, st, demand).gamma
+        gamma = greedy_rate_allocation(space, st, demand)
         # weight diffs: new server 0.6, stack 0.2 - 0.6 = -0.4; stacking wins
         assert gamma[space.edge_index((1,), 0)] == 0.0
         assert gamma[space.edge_index((2,), 0)] == 1.0
@@ -39,7 +39,7 @@ class TestRateAllocation:
         space = scalar_space(3)
         demand = Demand(np.ones(1), np.ones(1))
         st = StatePoint(np.array([0.3, 0.3, 1.0 / 30.0]), 1.0)
-        gamma = greedy_rate_allocation(space, st, demand).gamma
+        gamma = greedy_rate_allocation(space, st, demand)
         # weight diffs 0.3, 0.0, -0.2667: the triple stack wins alone
         assert gamma[space.edge_index((3,), 0)] == pytest.approx(1.0)
         assert gamma[space.edge_index((1,), 0)] == 0.0
@@ -51,7 +51,7 @@ class TestRateAllocation:
         alloc = greedy_rate_allocation(space, xstar, demand)
         neutral = neutral_allocation(space, xstar, demand)
         # at the optimum every departure routes back where it came from
-        assert np.allclose(alloc.gamma, neutral.gamma, atol=1e-12)
+        assert np.allclose(alloc, neutral, atol=1e-12)
         assert abs(drift(space, alloc, xstar, demand)) <= 1e-9
 
     def test_single_config_space_is_always_neutral(self):
@@ -59,7 +59,7 @@ class TestRateAllocation:
         demand = Demand(np.ones(1), np.ones(1))
         st = StatePoint(np.array([1.0]), 1.0)
         alloc = greedy_rate_allocation(space, st, demand)
-        assert np.allclose(alloc.gamma, neutral_allocation(space, st, demand).gamma)
+        assert np.allclose(alloc, neutral_allocation(space, st, demand))
 
 
 class TestSharedRule:
@@ -88,8 +88,8 @@ class TestSharedRule:
         moved = 0
         for x, nxt in zip(path, path[1:]):
             st = StatePoint(x, alpha)
-            net = (greedy_rate_allocation(space, st, demand).gamma
-                   - neutral_allocation(space, st, demand).gamma)
+            net = (greedy_rate_allocation(space, st, demand)
+                   - neutral_allocation(space, st, demand))
             expected = x + dt * (M @ net)
             assert np.min(expected) >= 0.0  # no coordinate clips
             assert np.max(np.abs(nxt - expected)) <= 1e-12

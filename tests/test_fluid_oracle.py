@@ -50,7 +50,7 @@ def oracle_path(name, alpha):
 
 def assert_same_allocation(space, demand, x, alpha):
     st = StatePoint(x, alpha)
-    got = greedy_rate_allocation(space, st, demand).gamma
+    got = greedy_rate_allocation(space, st, demand)
     want = oracle_fluid.greedy_rate_allocation(space, st, demand).gamma
     assert np.max(np.abs(got - want)) <= TOL
 

@@ -103,6 +103,15 @@ class TestRunExperiment:
         assert report["experiment"]["r_grid"] == [50.0, 200.0]
         assert "x" in report["optimum"]
 
+    def test_error_growing_with_scale_fails_the_verdict(self):
+        # Open greedy-d on k12 sits far closer to the optimum at r=2000 than
+        # at r=20, so a grid listed in that order is not decreasing.
+        exp = Experiment(base=base_config(r=2000, mode="open", seed=3, burn_in=2.0),
+                         r_grid=[2000, 20])
+        report = run_experiment(exp)
+        assert report["partial"] is False
+        assert report["verdicts"]["l2_to_optimum"]["decreasing"] is False
+
     def test_reports_are_deterministic(self):
         exp = Experiment(base=base_config(), r_grid=[30], replications=2)
         a = json.dumps(run_experiment(exp), sort_keys=True)

@@ -8,13 +8,11 @@ from packing_sim.config_space import (
     enumerate_configs,
 )
 from packing_sim.optimizer import (
-    Allocation,
     Demand,
     NonconvergenceError,
     StatePoint,
     aggregate_objective,
     class_totals,
-    constraint_matrix,
     drift,
     feasibility_gap,
     kkt_certificate,
@@ -266,7 +264,7 @@ class TestDrift:
         gamma = neutral_allocation(space, state, demand)
         assert np.isclose(drift(space, gamma, state, demand), 0.0, atol=1e-12)
         e2 = space.edge_index((2,), 0)
-        assert np.isclose(gamma.gamma[e2], 2 * 0.2)
+        assert np.isclose(gamma[e2], 2 * 0.2)
 
     def test_si_moves_find_the_improvement(self):
         space = scalar_space(2)
@@ -300,7 +298,7 @@ class TestDrift:
             space = p48_space()
             demand = Demand(rng.uniform(0.2, 3.0, 4), rng.uniform(0.2, 3.0, 4))
         rng = np.random.default_rng(int(alpha * 10))
-        A = constraint_matrix(space)
+        A = space.constraint_matrix
         states = [solve_optimum(space, demand, alpha)[0],
                   StatePoint(solve_aggregate_optimum(space, demand, alpha)[0].x, alpha)]
         states += [StatePoint(project_to_polytope(A, demand.rho, rng.uniform(0, 1, len(A[0]))),
@@ -360,7 +358,7 @@ def test_solver_properties(inst):
 def test_drift_nonpositive_everywhere(inst, seed):
     space, demand, alpha = inst
     rng = np.random.default_rng(seed)
-    A = constraint_matrix(space)
+    A = space.constraint_matrix
     z = rng.uniform(0.0, 1.0, size=space.num_configs)
     x = project_to_polytope(A, demand.rho, z)
     assert min_drift(space, StatePoint(x, alpha), demand) <= 1e-12

@@ -20,7 +20,6 @@ from packing_sim.optimizer import (
     StatePoint,
     aggregate_objective,
     class_totals,
-    constraint_matrix,
     project_to_polytope,
     solve_aggregate_optimum,
 )
@@ -103,7 +102,7 @@ def test_projection_no_worse_than_oracle(name, seed):
     """Random feasible polytopes of the three spaces and points z at scales
     1e-3 to 1e6."""
     space = SPACES[name]
-    A = constraint_matrix(space)
+    A = space.constraint_matrix
     rng = np.random.default_rng(seed)
     for _ in range(10):
         b = A @ (rng.uniform(0.0, 1.0, space.num_configs) * (rng.random(space.num_configs) < 0.3))

@@ -18,6 +18,7 @@ from packing_sim.simulator import (
     Simulation,
     SystemState,
     _pick,
+    _tree_set,
     derive_seed,
     place_alt,
     place_greedy_ac,
@@ -345,6 +346,25 @@ class TestClosedRuns:
         sim.arrivals[space.edge_index((2,), 0)] += 1
         with pytest.raises(InvariantError, match="edge counters disagree"):
             sim.snapshot(0.0)
+
+    def closed_engine(self):
+        return Simulation(SimConfig(space=scalar_space(2), demand=unit_demand(), r=50,
+                                    alpha=1.0, seed=1))
+
+    def test_rate_drift_raises(self):
+        sim = self.closed_engine()
+        sim.step()
+        # Closed mode keeps the arrival leaf at 0; a stray rate there no
+        # longer matches the counts.
+        _tree_set(sim._tree, sim._size, 1.0)
+        with pytest.raises(InvariantError, match="event-rate bookkeeping drifted"):
+            sim.step()
+
+    def test_population_change_raises(self):
+        sim = self.closed_engine()
+        sim._y0[0] += 1
+        with pytest.raises(InvariantError, match="closed population changed"):
+            sim.step()
 
     def test_population_constant_and_absorbing_average(self):
         space = scalar_space(2)

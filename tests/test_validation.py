@@ -20,11 +20,12 @@ from packing_sim.harness import batch_means
 from packing_sim.optimizer import (
     Demand,
     StatePoint,
+    class_totals,
     neutral_allocation,
     solve_aggregate_optimum,
     solve_optimum,
 )
-from packing_sim.simulator import AltPlacement, SimConfig, SystemState
+from packing_sim.simulator import AltPlacement, SimConfig, SystemState, place_greedy_ac
 
 B3 = ResourceProfile((3.0,), ((1.0,), (2.0,)))
 K12_CFG = {"space": {"configs": [[1], [2]]}, "arrival": [1.0], "service": [1.0]}
@@ -130,6 +131,11 @@ CASES = {
                          ValueError, "initial values must be nonnegative"),
     "state-counts": (lambda tmp: SystemState.from_counts(scalar_space(2), 1.0, [1]),
                      ValueError, "need 2 counts"),
+    "class-placement-no-classes": (lambda tmp: place_greedy_ac(
+        SystemState.from_counts(scalar_space(2), 1.0, [1, 0]), 0, None),
+        ConfigSpaceError, "space has no aggregate classes"),
+    "class-totals-no-classes": (lambda tmp: class_totals(scalar_space(2), [0.5, 0.25]),
+                                ConfigSpaceError, "space has no aggregate classes"),
     "cli-not-object": (lambda tmp: cli._load(write_json(tmp, [K12_CFG])),
                        ValueError, "config must be a JSON object"),
     "cli-no-space": (lambda tmp: cli_sim_config({"arrival": [1.0], "service": [1.0]}),
